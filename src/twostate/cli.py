@@ -42,7 +42,13 @@ def _bm_cumulants(alpha: Fraction, t: Fraction, order: int, beta: Fraction = Fra
     return (Fraction(0), t) + zeros, (alpha * t, beta * t) + zeros
 
 
+def _check_order(order: int) -> None:
+    if order < 1:
+        raise ValueError(f"order must be positive, got {order}")
+
+
 def cmd_moments(args) -> int:
+    _check_order(args.order)
     alpha, t = args.alpha, args.T
     outer, inner = _bm_cumulants(alpha, t, args.order, args.beta)
     phi = moments_from_two_state_cumulants(outer, inner, args.order)
@@ -55,6 +61,7 @@ def cmd_moments(args) -> int:
 
 
 def cmd_jacobi(args) -> int:
+    _check_order(args.order)
     alpha, t = args.alpha, args.t
     outer, inner = _bm_cumulants(alpha, t, args.order)
     nu_moments = moments_from_free_cumulants(inner, args.order)

@@ -11,9 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
-from .partitions import _classify_unchecked, enumerate_set_partitions, is_noncrossing
+from .partitions import _check_cap, _nc_table
 
 Rationals = tuple[Fraction, ...]
 
@@ -22,28 +21,16 @@ def as_rationals(values) -> Rationals:
     return tuple(Fraction(v) for v in values)
 
 
-@lru_cache(maxsize=None)
-def _nc_classified(n: int) -> tuple[tuple[tuple[tuple[int, ...], ...], tuple[bool, ...]], ...]:
-    # Every non-crossing partition of {1..n} together with per-block inner flags.
-    out = []
-    for p in enumerate_set_partitions(n):
-        if not is_noncrossing(p):
-            continue
-        cls = _classify_unchecked(p)
-        flags = tuple(i in cls.inner for i in range(len(p.blocks)))
-        out.append((p.blocks, flags))
-    return tuple(out)
-
-
 def moments_from_free_cumulants(cumulants, n: int) -> Rationals:
     """Moments m_1..m_n of the distribution with the given free cumulants."""
     c = as_rationals(cumulants)
     if len(c) < n:
         raise ValueError(f"need {n} cumulants, got {len(c)}")
+    _check_cap(n, None)
     moments = []
     for j in range(1, n + 1):
         total = Fraction(0)
-        for blocks, _ in _nc_classified(j):
+        for blocks, _ in _nc_table(j):
             term = Fraction(1)
             for block in blocks:
                 term *= c[len(block) - 1]
@@ -57,10 +44,11 @@ def moments_from_free_cumulants(cumulants, n: int) -> Rationals:
 def free_cumulants_from_moments(moments) -> Rationals:
     """Invert the free moment formula by peeling the one-block partition."""
     m = as_rationals(moments)
+    _check_cap(len(m), None)
     c: list[Fraction] = []
     for j in range(1, len(m) + 1):
         rest = Fraction(0)
-        for blocks, _ in _nc_classified(j):
+        for blocks, _ in _nc_table(j):
             if len(blocks) == 1:
                 continue
             term = Fraction(1)
@@ -79,10 +67,11 @@ def moments_from_two_state_cumulants(r_phi_psi, r_psi, n: int) -> Rationals:
     inner_c = as_rationals(r_psi)
     if len(outer_c) < n or len(inner_c) < n:
         raise ValueError(f"need {n} cumulants of each kind")
+    _check_cap(n, None)
     moments = []
     for j in range(1, n + 1):
         total = Fraction(0)
-        for blocks, inner_flags in _nc_classified(j):
+        for blocks, inner_flags in _nc_table(j):
             term = Fraction(1)
             for block, inner in zip(blocks, inner_flags):
                 term *= inner_c[len(block) - 1] if inner else outer_c[len(block) - 1]
@@ -99,10 +88,11 @@ def two_state_cumulants_from_moments(m_phi, r_psi) -> Rationals:
     inner_c = as_rationals(r_psi)
     if len(inner_c) < len(m):
         raise ValueError("free cumulant sequence shorter than the moments")
+    _check_cap(len(m), None)
     outer_c: list[Fraction] = []
     for j in range(1, len(m) + 1):
         rest = Fraction(0)
-        for blocks, inner_flags in _nc_classified(j):
+        for blocks, inner_flags in _nc_table(j):
             if len(blocks) == 1:
                 continue
             term = Fraction(1)
@@ -177,6 +167,8 @@ class IncrementFamilySpec:
 
     @staticmethod
     def from_whole_interval(whole: TwoStateElementSpec, count: int, total_time) -> "IncrementFamilySpec":
+        if count < 1:
+            raise ValueError("count must be positive")
         return IncrementFamilySpec(count, whole.scaled(Fraction(1, count)), total_time)
 
     @property
@@ -219,9 +211,10 @@ def mixed_moment(family: IncrementFamilySpec, word, state: str) -> Fraction:
     spec = family.per_increment
     if len(w) > spec.order:
         raise ValueError("word longer than the truncation order")
+    _check_cap(len(w), None)
     use_outer = state == "phi"
     total = Fraction(0)
-    for blocks, inner_flags in _nc_classified(len(w)):
+    for blocks, inner_flags in _nc_table(len(w)):
         term = Fraction(1)
         for block, inner in zip(blocks, inner_flags):
             first = w[block[0] - 1]

@@ -25,7 +25,13 @@ def enumeration_cap() -> int:
     raw = os.environ.get(CAP_ENV_VAR)
     if raw is None:
         return DEFAULT_ENUMERATION_CAP
-    return int(raw)
+    try:
+        cap = int(raw)
+    except ValueError:
+        cap = 0
+    if cap < 1:
+        raise ValueError(f"{CAP_ENV_VAR} must be a positive integer, got {raw!r}")
+    return cap
 
 
 @dataclass(frozen=True)
@@ -174,6 +180,52 @@ def _classify_unchecked(p: SetPartition) -> BlockClassification:
     return BlockClassification(frozenset(inner), outer, singles)
 
 
+def _noncrossing(n: int) -> list[tuple[tuple[tuple[int, ...], ...], tuple[bool, ...]]]:
+    # Every non-crossing partition of {1..n} with per-block inner flags, built
+    # directly. A stack holds the open blocks; each element joins one of them
+    # or opens a new block on top. Joining a block closes every block above
+    # it, and exactly those closed blocks are inner: the joined block has
+    # elements on both sides of them. Trying the open blocks bottom-up, then
+    # the new block, yields restricted-growth-string lexicographic order.
+    out = []
+    blocks: list[list[int]] = []
+    inner: list[bool] = []
+    stack: list[int] = []
+
+    def rec(x: int) -> None:
+        if x > n:
+            out.append((tuple(map(tuple, blocks)), tuple(inner)))
+            return
+        for depth in range(len(stack)):
+            closed = stack[depth + 1:]
+            del stack[depth + 1:]
+            for label in closed:
+                inner[label] = True
+            blocks[stack[depth]].append(x)
+            rec(x + 1)
+            blocks[stack[depth]].pop()
+            for label in closed:
+                inner[label] = False
+            stack.extend(closed)
+        stack.append(len(blocks))
+        blocks.append([x])
+        inner.append(False)
+        rec(x + 1)
+        inner.pop()
+        blocks.pop()
+        stack.pop()
+
+    rec(1)
+    return out
+
+
+@lru_cache(maxsize=None)
+def _nc_table(n: int) -> tuple[tuple[tuple[tuple[int, ...], ...], tuple[bool, ...]], ...]:
+    """Cached (blocks, inner_flags) of every non-crossing partition of {1..n}."""
+    _check_cap(n, None)
+    return tuple(_noncrossing(n))
+
+
 def _pairs_and_singletons(labels: tuple[int, ...]) -> list[tuple[tuple[int, ...], ...]]:
     # All non-crossing pair/singleton partitions of an ordered label list. The
     # first element is either a singleton or paired with some later element,
@@ -203,9 +255,10 @@ def enumerate_nc(
 ) -> list[SetPartition]:
     """Non-crossing partitions of {1..n}, optionally filtered.
 
-    With pairs_and_singletons the partitions are generated directly (needed up
-    to n = 16 for the variation sums); otherwise the full partition lattice is
-    enumerated and filtered, subject to the cap.
+    Both routes generate the partitions directly, without enumerating the
+    full partition lattice: pair/singleton ones by a first-element recursion
+    (needed up to n = 16 for the variation sums, uncapped), all others by an
+    open-block stack in restricted-growth-string order, subject to the cap.
     """
     if n < 1:
         raise ValueError("n must be positive")
@@ -215,7 +268,7 @@ def enumerate_nc(
         candidates = [SetPartition.from_blocks(n, blocks) for blocks in _pairs_and_singletons(tuple(range(1, n + 1)))]
     else:
         _check_cap(n, cap)
-        candidates = [p for p in enumerate_set_partitions(n, cap=cap) if is_noncrossing(p)]
+        candidates = [SetPartition(n, blocks) for blocks, _ in _noncrossing(n)]
     if not (no_outer_singletons or outer_disjoint_from_tau):
         return candidates
     tau_blocks = set(adjacent_pairing(n // 2).blocks) if outer_disjoint_from_tau else set()

@@ -142,6 +142,40 @@ class TestPlumbing:
             main(["moments", "--alpha", "x/y", "--T", "1"])
         assert info.value.code == 2
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["moments", "--alpha", "3/0", "--T", "1", "--order", "4"],
+            ["fock-moments", "--alpha", "1", "--T", "5/0", "--N", "2"],
+            ["moments", "--alpha", "1", "--T", "1", "--beta", "7/0", "--order", "4"],
+            ["variation-table", "--alpha", "1", "--beta", "1", "--T", "1", "--k", "2", "--N-list", "0"],
+            ["moments", "--alpha", "1", "--T", "1", "--order", "0"],
+            ["jacobi", "--alpha", "1", "--t", "1", "--order", "0"],
+        ],
+    )
+    def test_malformed_input_exits_2(self, capsys, argv):
+        try:
+            code = main(argv)
+        except SystemExit as info:
+            code = info.code
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert any("error:" in line for line in captured.err.splitlines())
+        assert "Traceback" not in captured.err
+
+    @pytest.mark.parametrize(
+        "raw,message",
+        [("abc", "error: FREEPROB_MAX_N must be a positive integer, got 'abc'"),
+         ("3", "error: n=4 exceeds the enumeration cap 3")],
+    )
+    def test_cap_errors_exit_2(self, capsys, monkeypatch, raw, message):
+        monkeypatch.setenv("FREEPROB_MAX_N", raw)
+        code = main(["moments", "--alpha", "1", "--T", "1", "--order", "4"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.splitlines() == [message]
+
     def test_byte_identical_reruns(self, capsys):
         args = ["selfcheck", "--alpha", "1", "--T", "1", "--N", "2", "--order", "5"]
         _, first = run(capsys, *args)

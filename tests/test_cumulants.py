@@ -4,6 +4,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from twostate import cumulants
 from twostate.cumulants import (
     IncrementFamilySpec,
     TwoStateElementSpec,
@@ -16,6 +17,7 @@ from twostate.cumulants import (
     moments_from_two_state_cumulants,
     two_state_cumulants_from_moments,
 )
+from twostate.partitions import SizeLimitError
 
 ZERO4 = (F(0),) * 4
 
@@ -215,3 +217,27 @@ class TestFamilySpec:
     def test_bad_count(self):
         with pytest.raises(ValueError):
             IncrementFamilySpec(0, TwoStateElementSpec((F(0),), (F(0),)), F(1))
+
+    def test_zero_count_rejected_before_scaling(self):
+        whole = TwoStateElementSpec((F(0), F(1)), (F(1), F(1)))
+        with pytest.raises(ValueError, match="count must be positive"):
+            IncrementFamilySpec.from_whole_interval(whole, 0, F(1))
+
+
+class TestEnumerationCap:
+    CALLS = {
+        "moments_from_free_cumulants": lambda: moments_from_free_cumulants(ZERO4, 4),
+        "free_cumulants_from_moments": lambda: free_cumulants_from_moments(ZERO4),
+        "moments_from_two_state_cumulants": lambda: moments_from_two_state_cumulants(ZERO4, ZERO4, 4),
+        "two_state_cumulants_from_moments": lambda: two_state_cumulants_from_moments(ZERO4, ZERO4),
+        "mixed_moment": lambda: mixed_moment(brownian_family(F(1), F(1), 2, order=4), (1, 2, 2, 1), "phi"),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CALLS))
+    def test_checked_before_any_table_is_built(self, name, monkeypatch):
+        built = []
+        monkeypatch.setattr(cumulants, "_nc_table", lambda n: built.append(n) or ())
+        monkeypatch.setenv("FREEPROB_MAX_N", "3")
+        with pytest.raises(SizeLimitError, match="^n=4 exceeds the enumeration cap 3$"):
+            self.CALLS[name]()
+        assert built == []

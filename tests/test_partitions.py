@@ -21,6 +21,7 @@ from twostate.partitions import (
     singletons_partition,
     stirling2,
 )
+from twostate.partitions import _nc_table
 
 BELL = [1, 1, 2, 5, 15, 52, 203, 877, 4140, 21147, 115975]
 CATALAN = [1, 1, 2, 5, 14, 42, 132, 429, 1430, 4862, 16796]
@@ -83,6 +84,12 @@ class TestEnumeration:
             enumerate_set_partitions(4)
         assert len(enumerate_set_partitions(3)) == 5
 
+    @pytest.mark.parametrize("raw", ["abc", "2.5", "", "0", "-3"])
+    def test_cap_env_rejects_bad_values(self, monkeypatch, raw):
+        monkeypatch.setenv("FREEPROB_MAX_N", raw)
+        with pytest.raises(ValueError, match="FREEPROB_MAX_N must be a positive integer"):
+            enumerate_set_partitions(2)
+
 
 class TestNonCrossing:
     def test_canonical_crossing(self):
@@ -104,6 +111,18 @@ class TestNonCrossing:
         ncs = enumerate_nc(n)
         assert len(ncs) == CATALAN[n]
         assert all(is_noncrossing(p) for p in ncs)
+
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_generator_matches_bell_filter(self, n):
+        # same blocks, same order, same inner flags as filtering every set
+        # partition through the crossing test and the classifier
+        reference = []
+        for p in enumerate_set_partitions(n):
+            if is_noncrossing(p):
+                cls = classify_blocks(p)
+                reference.append((p.blocks, tuple(i in cls.inner for i in range(p.size))))
+        assert list(_nc_table(n)) == reference
+        assert [p.blocks for p in enumerate_nc(n)] == [blocks for blocks, _ in reference]
 
     @pytest.mark.parametrize("n", range(1, 11))
     def test_pairs_singletons_route_agrees_with_filter(self, n):
