@@ -15,6 +15,7 @@ from fractions import Fraction
 
 from . import fock, generator, spectral, variations
 from .cumulants import (
+    brownian_cumulants,
     brownian_family,
     free_cumulants_from_moments,
     mixed_moment,
@@ -37,20 +38,15 @@ def _emit(lines, path: str | None) -> None:
             handle.write(text)
 
 
-def _bm_cumulants(alpha: Fraction, t: Fraction, order: int, beta: Fraction = Fraction(1)):
-    zeros = (Fraction(0),) * max(0, order - 2)
-    return (Fraction(0), t) + zeros, (alpha * t, beta * t) + zeros
-
-
-def _check_order(order: int) -> None:
-    if order < 1:
-        raise ValueError(f"order must be positive, got {order}")
+def _check_count(name: str, value: int, minimum: int = 1) -> None:
+    # Every count flag: a value below its minimum would succeed on nothing.
+    if value < minimum:
+        raise ValueError(f"{name} must be at least {minimum}, got {value}")
 
 
 def cmd_moments(args) -> int:
-    _check_order(args.order)
-    alpha, t = args.alpha, args.T
-    outer, inner = _bm_cumulants(alpha, t, args.order, args.beta)
+    _check_count("order", args.order)
+    outer, inner = brownian_cumulants(args.alpha, args.T, args.order, args.beta)
     phi = moments_from_two_state_cumulants(outer, inner, args.order)
     psi = moments_from_free_cumulants(inner, args.order)
     lines = ["n,phi_moment,psi_moment"]
@@ -61,14 +57,13 @@ def cmd_moments(args) -> int:
 
 
 def cmd_jacobi(args) -> int:
-    _check_order(args.order)
-    alpha, t = args.alpha, args.t
-    outer, inner = _bm_cumulants(alpha, t, args.order)
+    _check_count("order", args.order)
+    outer, inner = brownian_cumulants(args.alpha, args.t, args.order)
     nu_moments = moments_from_free_cumulants(inner, args.order)
     mu_moments = moments_from_two_state_cumulants(outer, inner, args.order)
     nu_jacobi = spectral.moments_to_jacobi(nu_moments)
     mu_jacobi = spectral.moments_to_jacobi(mu_moments)
-    shifted = spectral.jacobi_shift(nu_jacobi, t)
+    shifted = spectral.jacobi_shift(nu_jacobi, args.t)
     payload = {
         "nu": nu_jacobi.to_json(),
         "mu": mu_jacobi.to_json(),
@@ -81,6 +76,7 @@ def cmd_jacobi(args) -> int:
 
 
 def cmd_density(args) -> int:
+    _check_count("samples", args.samples)
     measure = MEASURE_NAMES[args.measure](args.alpha, args.t)
     lo, hi = spectral.support(measure)
     lines = ["x,density_f64"]
@@ -99,6 +95,7 @@ def cmd_density(args) -> int:
 
 
 def cmd_fock_moments(args) -> int:
+    _check_count("degree", args.degree)
     grid = fock.IntervalGrid(args.T, args.N)
     phi = fock.phi_moment_table(grid, args.alpha, args.degree)
     psi = fock.psi_moment_table(grid, args.alpha, args.degree)
@@ -116,6 +113,7 @@ def _centered_monomial(grid, alpha, cell: int, degree: int) -> fock.OperatorExpr
 
 
 def cmd_freeness_check(args) -> int:
+    _check_count("max-len", args.max_len)
     grid = fock.IntervalGrid(args.T, args.N)
     failures = 0
     checked = 0
@@ -145,6 +143,8 @@ def cmd_freeness_check(args) -> int:
 
 
 def cmd_martingale_check(args) -> int:
+    _check_count("n-max", args.n_max, 0)
+    _check_count("N", args.N, 2)
     grid = fock.IntervalGrid(args.T, args.N)
     failures = 0
     checked = 0
@@ -193,6 +193,7 @@ def cmd_variation_table(args) -> int:
 
 
 def cmd_norm_table(args) -> int:
+    _check_count("n-max", args.n_max)
     family = brownian_family(args.alpha, args.T, args.N, order=max(8, 2 * args.n_max * args.k), beta=args.beta)
     table = variations.norm_2n_table(family, args.k, args.n_max)
     lines = ["n,norm_2n_f64"]
@@ -203,6 +204,7 @@ def cmd_norm_table(args) -> int:
 
 
 def cmd_generator_check(args) -> int:
+    _check_count("n-max", args.n_max, 0)
     lines = []
     all_zero = True
     for n in range(args.n_max + 1):
@@ -215,6 +217,7 @@ def cmd_generator_check(args) -> int:
 
 
 def cmd_kernel_residual(args) -> int:
+    _check_count("depth", args.depth)
     lines = ["depth,residual_f64"]
     for depth in range(1, args.depth + 1):
         lines.append(f"{depth},{fock.kernel_residual(args.alpha, args.t, depth):.12g}")
@@ -223,7 +226,7 @@ def cmd_kernel_residual(args) -> int:
 
 
 def _selfcheck_items(alpha: Fraction, t: Fraction, big_n: int, order: int):
-    outer, inner = _bm_cumulants(alpha, t, order)
+    outer, inner = brownian_cumulants(alpha, t, order)
 
     def partitions_counts():
         bells = [1, 2, 5, 15, 52]

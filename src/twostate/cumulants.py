@@ -21,44 +21,57 @@ def as_rationals(values) -> Rationals:
     return tuple(Fraction(v) for v in values)
 
 
+def _free_sum(j: int, c) -> Fraction:
+    # Sum over non-crossing partitions of {1..j} of the product of c[|block|-1].
+    total = Fraction(0)
+    for blocks, _ in _nc_table(j):
+        term = Fraction(1)
+        for block in blocks:
+            term *= c[len(block) - 1]
+            if term == 0:
+                break
+        total += term
+    return total
+
+
+def _two_state_sum(j: int, outer, inner) -> Fraction:
+    # As _free_sum, but outer blocks carry outer[|block|-1], inner blocks inner[...].
+    total = Fraction(0)
+    for blocks, inner_flags in _nc_table(j):
+        term = Fraction(1)
+        for block, is_inner in zip(blocks, inner_flags):
+            term *= inner[len(block) - 1] if is_inner else outer[len(block) - 1]
+            if term == 0:
+                break
+        total += term
+    return total
+
+
+def _peel(moments, forward) -> Rationals:
+    # Invert a moment formula one order at a time. Only the one-block
+    # partition has a block of size j, so with a zero placeholder for the
+    # unknown j-th cumulant the forward sum is the sum over all the others.
+    c: list[Fraction] = []
+    for j, m in enumerate(moments, start=1):
+        c.append(Fraction(0))
+        c[-1] = m - forward(j, c)
+    return tuple(c)
+
+
 def moments_from_free_cumulants(cumulants, n: int) -> Rationals:
     """Moments m_1..m_n of the distribution with the given free cumulants."""
     c = as_rationals(cumulants)
     if len(c) < n:
         raise ValueError(f"need {n} cumulants, got {len(c)}")
     _check_cap(n, None)
-    moments = []
-    for j in range(1, n + 1):
-        total = Fraction(0)
-        for blocks, _ in _nc_table(j):
-            term = Fraction(1)
-            for block in blocks:
-                term *= c[len(block) - 1]
-                if term == 0:
-                    break
-            total += term
-        moments.append(total)
-    return tuple(moments)
+    return tuple(_free_sum(j, c) for j in range(1, n + 1))
 
 
 def free_cumulants_from_moments(moments) -> Rationals:
     """Invert the free moment formula by peeling the one-block partition."""
     m = as_rationals(moments)
     _check_cap(len(m), None)
-    c: list[Fraction] = []
-    for j in range(1, len(m) + 1):
-        rest = Fraction(0)
-        for blocks, _ in _nc_table(j):
-            if len(blocks) == 1:
-                continue
-            term = Fraction(1)
-            for block in blocks:
-                term *= c[len(block) - 1]
-                if term == 0:
-                    break
-            rest += term
-        c.append(m[j - 1] - rest)
-    return tuple(c)
+    return _peel(m, _free_sum)
 
 
 def moments_from_two_state_cumulants(r_phi_psi, r_psi, n: int) -> Rationals:
@@ -68,18 +81,7 @@ def moments_from_two_state_cumulants(r_phi_psi, r_psi, n: int) -> Rationals:
     if len(outer_c) < n or len(inner_c) < n:
         raise ValueError(f"need {n} cumulants of each kind")
     _check_cap(n, None)
-    moments = []
-    for j in range(1, n + 1):
-        total = Fraction(0)
-        for blocks, inner_flags in _nc_table(j):
-            term = Fraction(1)
-            for block, inner in zip(blocks, inner_flags):
-                term *= inner_c[len(block) - 1] if inner else outer_c[len(block) - 1]
-                if term == 0:
-                    break
-            total += term
-        moments.append(total)
-    return tuple(moments)
+    return tuple(_two_state_sum(j, outer_c, inner_c) for j in range(1, n + 1))
 
 
 def two_state_cumulants_from_moments(m_phi, r_psi) -> Rationals:
@@ -89,20 +91,7 @@ def two_state_cumulants_from_moments(m_phi, r_psi) -> Rationals:
     if len(inner_c) < len(m):
         raise ValueError("free cumulant sequence shorter than the moments")
     _check_cap(len(m), None)
-    outer_c: list[Fraction] = []
-    for j in range(1, len(m) + 1):
-        rest = Fraction(0)
-        for blocks, inner_flags in _nc_table(j):
-            if len(blocks) == 1:
-                continue
-            term = Fraction(1)
-            for block, inner in zip(blocks, inner_flags):
-                term *= inner_c[len(block) - 1] if inner else outer_c[len(block) - 1]
-                if term == 0:
-                    break
-            rest += term
-        outer_c.append(m[j - 1] - rest)
-    return tuple(outer_c)
+    return _peel(m, lambda j, outer_c: _two_state_sum(j, outer_c, inner_c))
 
 
 def cumulant_dilate(cumulants, scale) -> Rationals:
@@ -180,18 +169,29 @@ class IncrementFamilySpec:
         return self.per_increment.order
 
 
+def brownian_cumulants(alpha, total_time, order: int, beta=1) -> tuple[Rationals, Rationals]:
+    """Whole-interval (two-state, free) cumulants of the process over [0, T).
+
+    The two-state sequence is (0, T, 0, ...) and the free one
+    (alpha T, beta T, 0, ...), both of length max(order, 2).
+    """
+    a, t, b = Fraction(alpha), Fraction(total_time), Fraction(beta)
+    if t <= 0:
+        raise ValueError("total_time must be positive")
+    zeros = (Fraction(0),) * max(0, order - 2)
+    return (Fraction(0), t) + zeros, (a * t, b * t) + zeros
+
+
 def brownian_family(alpha, total_time, count: int, order: int = 8, beta=1) -> IncrementFamilySpec:
     """Increment family of the two-state Brownian motion with drift alpha.
 
     beta scales the secondary-state variance; beta = 1 is the process proper,
     other values give algebraic relatives used by the variation bounds.
     """
-    a, t, b = Fraction(alpha), Fraction(total_time), Fraction(beta)
     if order < 2:
         raise ValueError("order must be at least 2")
-    zeros = (Fraction(0),) * (order - 2)
-    whole = TwoStateElementSpec((Fraction(0), t) + zeros, (a * t, b * t) + zeros)
-    return IncrementFamilySpec.from_whole_interval(whole, count, t)
+    whole = TwoStateElementSpec(*brownian_cumulants(alpha, total_time, order, beta))
+    return IncrementFamilySpec.from_whole_interval(whole, count, total_time)
 
 
 def mixed_moment(family: IncrementFamilySpec, word, state: str) -> Fraction:

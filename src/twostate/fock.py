@@ -10,6 +10,7 @@ anywhere, so every state evaluation below is exact.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -108,6 +109,35 @@ class FockVector:
         return FockVector(grid, {tuple(item["word"]): parse_rational(item["coef"]) for item in data})
 
 
+def _act(grid: IntervalGrid, weights: dict[int, Fraction], alpha, coef: dict[Word, Fraction], budget: int | None = None) -> dict[Word, Fraction]:
+    # Apply sum_i weights[i] * X(I_i) once: creation of each i, the
+    # alpha * length drift, and annihilation of a leading i; on the vacuum only
+    # creation fires. Words longer than budget are never formed. The result
+    # may hold zero coefficients.
+    ell = grid.cell_length
+    drift = Fraction(alpha) * ell * sum(weights.values())
+    annihilate = {i: w * ell for i, w in weights.items()}
+    limit = math.inf if budget is None else budget
+    out: dict[Word, Fraction] = {}
+
+    def bump(word: Word, value: Fraction) -> None:
+        prev = out.get(word)
+        out[word] = value if prev is None else prev + value
+
+    for w, c in coef.items():
+        length = len(w)
+        if length < limit:
+            for i, weight in weights.items():
+                bump((i,) + w, c if weight == 1 else weight * c)
+        if length:
+            if drift and length <= limit:
+                bump(w, drift * c)
+            weight = annihilate.get(w[0])
+            if weight and length <= limit + 1:
+                bump(w[1:], weight * c)
+    return out
+
+
 def apply_increment(grid: IntervalGrid, i: int, alpha, v: FockVector) -> FockVector:
     """Apply the increment over cell i: creation + alpha*length + annihilation.
 
@@ -118,24 +148,7 @@ def apply_increment(grid: IntervalGrid, i: int, alpha, v: FockVector) -> FockVec
         raise ValueError(f"cell index {i} out of range 1..{grid.cells}")
     if v.grid != grid:
         raise ValueError("grid mismatch")
-    a = Fraction(alpha)
-    ell = grid.cell_length
-    out: dict[Word, Fraction] = {}
-
-    def bump(word: Word, value: Fraction) -> None:
-        out[word] = out.get(word, Fraction(0)) + value
-
-    drift = a * ell
-    for w, c in v.coef.items():
-        if not w:
-            bump((i,), c)
-            continue
-        bump((i,) + w, c)
-        if drift:
-            bump(w, drift * c)
-        if w[0] == i:
-            bump(w[1:], ell * c)
-    return FockVector._from_clean(grid, out)
+    return FockVector._from_clean(grid, _act(grid, {i: 1}, alpha, v.coef))
 
 
 class OperatorExpr:
@@ -240,38 +253,19 @@ class OperatorExpr:
         """
         if v.grid != self.grid:
             raise ValueError("grid mismatch")
-        a = Fraction(alpha)
-        ell = self.grid.cell_length
-        out: dict[Word, Fraction] = {}
-
-        def bump(word: Word, value: Fraction) -> None:
-            out[word] = out.get(word, Fraction(0)) + value
-
-        singles: dict[int, Fraction] = {}
+        bad = [i for i in self.support_cells() if not 1 <= i <= self.grid.cells]
+        if bad:
+            raise ValueError(f"cell index {min(bad)} out of range 1..{self.grid.cells}")
+        singles = {w[0]: c for w, c in self.terms.items() if len(w) == 1}
+        out = _act(self.grid, singles, alpha, v.coef) if singles else {}
         for w, c in self.terms.items():
             if len(w) == 1:
-                singles[w[0]] = singles.get(w[0], Fraction(0)) + c
-            elif not w:
-                for word, cv in v.coef.items():
-                    bump(word, c * cv)
-            else:
-                current = v
-                for letter in reversed(w):
-                    current = apply_increment(self.grid, letter, a, current)
-                for word, cv in current.coef.items():
-                    bump(word, c * cv)
-        if singles:
-            drift = a * ell * sum(singles.values())
-            annihilate = {i: c * ell for i, c in singles.items()}
-            for word, cv in v.coef.items():
-                for i, ci in singles.items():
-                    bump((i,) + word, ci * cv)
-                if word:
-                    if drift:
-                        bump(word, drift * cv)
-                    ci = annihilate.get(word[0])
-                    if ci:
-                        bump(word[1:], ci * cv)
+                continue
+            current = v.coef
+            for letter in reversed(w):
+                current = _act(self.grid, {letter: 1}, alpha, current)
+            for word, cv in current.items():
+                out[word] = out.get(word, 0) + c * cv
         return FockVector._from_clean(self.grid, out)
 
 
@@ -294,31 +288,12 @@ def state_psi_t(expr: OperatorExpr, alpha) -> Fraction:
 def _iterated_whole_interval_moments(grid: IntervalGrid, alpha, degree: int, seed: FockVector) -> tuple[Fraction, ...]:
     # Vacuum coefficients of X(T)^n seed for n = 1..degree. Words longer than
     # degree - step can never annihilate back to the vacuum in time and are
-    # dropped, which keeps the live vector small at any grid size.
-    a = Fraction(alpha)
-    ell = grid.cell_length
-    drift = a * grid.total_time
-    cells = range(1, grid.cells + 1)
-    coef = dict(seed.coef)
+    # never formed, which keeps the live vector small at any grid size.
+    whole = {i: 1 for i in range(1, grid.cells + 1)}
+    coef = seed.coef
     out = []
     for step in range(1, degree + 1):
-        budget = degree - step
-        new: dict[Word, Fraction] = {}
-
-        def bump(word: Word, value: Fraction) -> None:
-            new[word] = new.get(word, Fraction(0)) + value
-
-        for w, c in coef.items():
-            length = len(w)
-            if length:
-                if length - 1 <= budget:
-                    bump(w[1:], ell * c)
-                if drift and length <= budget:
-                    bump(w, drift * c)
-            if length + 1 <= budget:
-                for i in cells:
-                    bump((i,) + w, c)
-        coef = {w: c for w, c in new.items() if c}
+        coef = {w: c for w, c in _act(grid, whole, alpha, coef, degree - step).items() if c}
         out.append(coef.get((), Fraction(0)))
     return tuple(out)
 

@@ -61,12 +61,6 @@ class SetPartition:
         """Number of blocks, |pi|."""
         return len(self.blocks)
 
-    def block_index_of(self, x: int) -> int:
-        for i, block in enumerate(self.blocks):
-            if x in block:
-                return i
-        raise KeyError(x)
-
     def block_map(self) -> dict[int, int]:
         out: dict[int, int] = {}
         for i, block in enumerate(self.blocks):

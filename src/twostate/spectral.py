@@ -17,6 +17,7 @@ import numpy as np
 
 from .cumulants import (
     as_rationals,
+    brownian_cumulants,
     moments_from_free_cumulants,
     moments_from_two_state_cumulants,
 )
@@ -299,13 +300,10 @@ def exact_moment(measure: Measure, n: int) -> Fraction:
     """The n-th moment as an exact rational, straight from the cumulant engine."""
     if n == 0:
         return Fraction(1)
-    alpha, t = measure.alpha, measure.time
+    alpha = measure.alpha
+    two_state, free = brownian_cumulants(alpha, measure.time, n)
     if measure.kind == SEMICIRCLE:
-        cums = (alpha * t, t) + (Fraction(0),) * max(0, n - 2)
-        return moments_from_free_cumulants(cums, n)[n - 1]
-    zeros = (Fraction(0),) * max(0, n - 2)
-    two_state = (Fraction(0), t) + zeros
-    free = (alpha * t, t) + zeros
+        return moments_from_free_cumulants(free, n)[n - 1]
     base = moments_from_two_state_cumulants(two_state, free, n)
     if measure.kind == FREE_POISSON:
         return base[n - 1]

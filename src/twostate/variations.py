@@ -21,7 +21,6 @@ from fractions import Fraction
 from .cumulants import IncrementFamilySpec, mixed_moment, moments_from_free_cumulants
 from .fock import FockVector, IntervalGrid, OperatorExpr, state_psi_t
 from .partitions import (
-    SetPartition,
     _classify_unchecked,
     adjacent_pairing,
     coarser_weight,
@@ -49,8 +48,14 @@ class VariationReport:
         return self.value - self.predicted_limit
 
 
+def _check_power(k: int) -> None:
+    if k < 1:
+        raise ValueError(f"k must be positive, got {k}")
+
+
 def variation_second_moment(family: IncrementFamilySpec, k: int) -> VariationReport:
     """phi[(sum_i X_i^k)^2] with its large-N limit R_k^2 + R_2k."""
+    _check_power(k)
     if family.order < 2 * k:
         raise ValueError("family truncation order too small for 2k")
     n = family.count
@@ -66,6 +71,7 @@ def variation_second_moment(family: IncrementFamilySpec, k: int) -> VariationRep
 
 def psi_variation(family: IncrementFamilySpec, k: int) -> VariationReport:
     """psi[sum_i X_i^k] with its limit, the k-th whole-interval free cumulant."""
+    _check_power(k)
     if family.order < k:
         raise ValueError("family truncation order too small for k")
     per_moment = moments_from_free_cumulants(family.per_increment.r_psi, k)[k - 1]
@@ -88,28 +94,31 @@ def _brownian_shape(family: IncrementFamilySpec) -> tuple[Fraction, Fraction]:
     return alpha, beta
 
 
+def _power_sum_moment(family: IncrementFamilySpec, k: int, m: int) -> Fraction:
+    # phi[(sum_i X_i^k)^m]: group index tuples by their coincidence pattern, a
+    # set partition of the m factor slots, weighted N_(number of blocks) by
+    # exchangeability of the increments.
+    if m == 0:
+        return Fraction(1)
+    total = Fraction(0)
+    for pattern in enumerate_set_partitions(m):
+        weight = falling_factorial(family.count, pattern.size)
+        if weight == 0:
+            continue
+        labels = pattern.block_map()
+        word = []
+        for slot in range(1, m + 1):
+            word.extend([labels[slot] + 1] * k)
+        total += weight * mixed_moment(family, tuple(word), "phi")
+    return total
+
+
 def _qv_bruteforce(family: IncrementFamilySpec, n: int) -> Fraction:
-    # Expand (sum X_i^2 - T)^n; group index tuples by their coincidence
-    # pattern, a set partition of the factor slots, weighted N_(number of
-    # blocks) by exchangeability of the increments.
-    big_n, t = family.count, family.total_time
+    # Binomial expansion of (sum X_i^2 - T)^n.
+    t = family.total_time
     total = Fraction(0)
     for j in range(n + 1):
-        coeff = math.comb(n, j) * (-t) ** (n - j)
-        if j == 0:
-            total += coeff
-            continue
-        inner = Fraction(0)
-        for pattern in enumerate_set_partitions(j):
-            weight = falling_factorial(big_n, pattern.size)
-            if weight == 0:
-                continue
-            labels = pattern.block_map()
-            word = []
-            for slot in range(1, j + 1):
-                word.extend((labels[slot] + 1, labels[slot] + 1))
-            inner += weight * mixed_moment(family, tuple(word), "phi")
-        total += coeff * inner
+        total += math.comb(n, j) * (-t) ** (n - j) * _power_sum_moment(family, 2, j)
     return total
 
 
@@ -185,22 +194,12 @@ def sandwich_variation(grid: IntervalGrid, alpha, sandwiched: OperatorExpr, wind
 
 def centered_power_moment(family: IncrementFamilySpec, k: int, m: int) -> Fraction:
     """phi[(sum_i X_i^k - c)^m] with c = T for k = 2 and c = 0 otherwise."""
+    _check_power(k)
     if k == 2:
         return centered_qv_moment(family, m, method="lemma_sum" if 2 * m > BRUTEFORCE_WORD_CAP else "bruteforce")
     if k * m > BRUTEFORCE_WORD_CAP:
         raise ValueError(f"word length {k * m} exceeds the engine cap {BRUTEFORCE_WORD_CAP}")
-    big_n = family.count
-    total = Fraction(0)
-    for pattern in enumerate_set_partitions(m) if m else [SetPartition(0, ())]:
-        weight = falling_factorial(big_n, pattern.size)
-        if weight == 0:
-            continue
-        labels = pattern.block_map()
-        word = []
-        for slot in range(1, m + 1):
-            word.extend([labels[slot] + 1] * k)
-        total += weight * mixed_moment(family, tuple(word), "phi")
-    return total
+    return _power_sum_moment(family, k, m)
 
 
 def norm_2n_table(family: IncrementFamilySpec, k: int, n_max: int) -> list[float]:

@@ -151,6 +151,18 @@ class TestPlumbing:
             ["variation-table", "--alpha", "1", "--beta", "1", "--T", "1", "--k", "2", "--N-list", "0"],
             ["moments", "--alpha", "1", "--T", "1", "--order", "0"],
             ["jacobi", "--alpha", "1", "--t", "1", "--order", "0"],
+            ["fock-moments", "--alpha", "1", "--T", "1", "--N", "2", "--degree", "0"],
+            ["kernel-residual", "--alpha", "1", "--t", "1", "--depth", "0"],
+            ["density", "--measure", "mu", "--alpha", "1", "--t", "1", "--samples", "0"],
+            ["generator-check", "--alpha", "1", "--n-max", "-1"],
+            ["martingale-check", "--alpha", "1", "--T", "1", "--N", "2", "--n-max", "-1"],
+            ["martingale-check", "--alpha", "1", "--T", "1", "--N", "1"],
+            ["freeness-check", "--alpha", "1", "--T", "1", "--N", "2", "--max-len", "0"],
+            ["norm-table", "--alpha", "1", "--T", "1", "--N", "2", "--n-max", "0"],
+            ["variation-table", "--alpha", "1", "--beta", "1", "--T", "1", "--k", "0", "--N-list", "2"],
+            ["norm-table", "--alpha", "1", "--T", "1", "--N", "2", "--k", "0"],
+            ["moments", "--alpha", "1", "--T", "0", "--order", "4"],
+            ["moments", "--alpha", "1", "--T", "-1", "--order", "4"],
         ],
     )
     def test_malformed_input_exits_2(self, capsys, argv):

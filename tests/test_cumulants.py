@@ -8,6 +8,7 @@ from twostate import cumulants
 from twostate.cumulants import (
     IncrementFamilySpec,
     TwoStateElementSpec,
+    brownian_cumulants,
     brownian_family,
     cumulant_dilate,
     cumulant_free_add,
@@ -222,6 +223,19 @@ class TestFamilySpec:
         whole = TwoStateElementSpec((F(0), F(1)), (F(1), F(1)))
         with pytest.raises(ValueError, match="count must be positive"):
             IncrementFamilySpec.from_whole_interval(whole, 0, F(1))
+
+    @pytest.mark.parametrize("order", [2, 3, 8])
+    def test_brownian_cumulants_match_family(self, order):
+        whole = brownian_family(F(2), F(3, 2), 1, order=order, beta=F(1, 3)).whole_interval
+        assert brownian_cumulants(F(2), F(3, 2), order, beta=F(1, 3)) == (whole.r_phi_psi, whole.r_psi)
+
+    def test_brownian_cumulants_keep_the_variance_at_order_one(self):
+        assert brownian_cumulants(F(1), F(2), 1) == ((F(0), F(2)), (F(2), F(2)))
+
+    @pytest.mark.parametrize("t", [F(0), F(-1)])
+    def test_brownian_cumulants_reject_non_positive_time(self, t):
+        with pytest.raises(ValueError, match="total_time must be positive"):
+            brownian_cumulants(F(1), t, 4)
 
 
 class TestEnumerationCap:

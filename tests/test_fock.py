@@ -83,6 +83,12 @@ class TestIncrementAction:
 
 
 class TestOperatorExpr:
+    @pytest.mark.parametrize("word", [(3,), (1, 3), (0, 2, 1)])
+    def test_apply_rejects_out_of_range_cells(self, word):
+        grid = grid12()
+        with pytest.raises(ValueError, match="out of range"):
+            OperatorExpr(grid, {word: F(1)}).apply(FockVector.vacuum(grid), F(1))
+
     def test_identity(self):
         grid = grid12()
         rng = random.Random(1)

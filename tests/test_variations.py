@@ -55,6 +55,12 @@ class TestSecondMoment:
         with pytest.raises(ValueError):
             variation_second_moment(brownian_family(F(1), F(1), 2, order=4), 3)
 
+    @pytest.mark.parametrize("fn", [variation_second_moment, psi_variation, lambda f, k: centered_power_moment(f, k, 2)])
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_non_positive_power_rejected(self, fn, k):
+        with pytest.raises(ValueError, match="k must be positive"):
+            fn(brownian_family(F(1), F(1), 2), k)
+
 
 class TestPsiVariation:
     def test_first_power_exact(self):
