@@ -174,11 +174,12 @@ def cmd_martingale_check(args) -> int:
 
 
 def cmd_variation_table(args) -> int:
+    k = 2 if args.k is None else args.k
     lines = ["N,value,value_f64,predicted,gap"]
     for big_n in args.N_list:
-        family = brownian_family(args.alpha, args.T, big_n, order=max(8, 2 * args.k), beta=args.beta)
+        family = brownian_family(args.alpha, args.T, big_n, order=max(8, 2 * k), beta=args.beta)
         if args.centered_power is None:
-            report = variations.variation_second_moment(family, args.k)
+            report = variations.variation_second_moment(family, k)
             value, predicted = report.value, report.predicted_limit
         else:
             value = variations.centered_qv_moment(family, args.centered_power, method="lemma_sum")
@@ -327,6 +328,7 @@ def _selfcheck_items(alpha: Fraction, t: Fraction, big_n: int, order: int):
 
 
 def cmd_selfcheck(args) -> int:
+    _check_count("order", args.order, 4)
     items = _selfcheck_items(args.alpha, args.T, args.N, args.order)
     lines = []
     passed = 0
@@ -395,8 +397,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("variation-table", help="variation values against predicted limits")
     _add_common(p, total_time=True, beta=True)
-    p.add_argument("--k", type=int, default=2)
-    p.add_argument("--n", type=int, default=None, dest="centered_power", help="centered power; switches to the centered table")
+    power = p.add_mutually_exclusive_group()
+    power.add_argument("--k", type=int, default=None, help="variation power (default 2)")
+    power.add_argument("--n", type=int, default=None, dest="centered_power", help="centered power; switches to the centered k = 2 table")
     p.add_argument("--N-list", type=lambda s: [int(x) for x in s.split(",")], required=True, dest="N_list")
     p.set_defaults(fn=cmd_variation_table)
 

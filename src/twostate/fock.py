@@ -6,11 +6,17 @@ the increment over cell i acts by creation, an alpha * cell-length multiple of
 the identity, and annihilation against the first letter. The single deliberate
 asymmetry: on the vacuum the operator only creates. No truncation happens
 anywhere, so every state evaluation below is exact.
+
+The action runs on Python int numerators over one common denominator per
+vector; a Fraction is formed only where a vector or a vacuum coefficient is
+read out. The product and martingale checks never expand an operator product:
+they apply its factors to the vector from right to left.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -48,11 +54,11 @@ class FockVector:
         self.coef = {w: Fraction(c) for w, c in (coef or {}).items() if c}
 
     @staticmethod
-    def _from_clean(grid: IntervalGrid, coef: dict[Word, Fraction]) -> "FockVector":
-        # internal: entries are Fractions already, only zeros need dropping
+    def _from_ints(grid: IntervalGrid, ints: dict[Word, int], den: int) -> "FockVector":
+        # internal: the vector ints / den, read out as reduced Fractions
         v = FockVector.__new__(FockVector)
         v.grid = grid
-        v.coef = {w: c for w, c in coef.items() if c}
+        v.coef = {w: Fraction(n, den) for w, n in ints.items() if n}
         return v
 
     @staticmethod
@@ -109,33 +115,49 @@ class FockVector:
         return FockVector(grid, {tuple(item["word"]): parse_rational(item["coef"]) for item in data})
 
 
-def _act(grid: IntervalGrid, weights: dict[int, Fraction], alpha, coef: dict[Word, Fraction], budget: int | None = None) -> dict[Word, Fraction]:
-    # Apply sum_i weights[i] * X(I_i) once: creation of each i, the
-    # alpha * length drift, and annihilation of a leading i; on the vacuum only
-    # creation fires. Words longer than budget are never formed. The result
-    # may hold zero coefficients.
+def _to_ints(coef: dict[Word, Fraction]) -> tuple[dict[Word, int], int]:
+    # integer numerators over one common denominator
+    den = math.lcm(*(c.denominator for c in coef.values()))
+    return {w: c.numerator * (den // c.denominator) for w, c in coef.items()}, den
+
+
+def _act(grid: IntervalGrid, weights: dict[int, Fraction], alpha, ints: dict[Word, int], den: int, budget: int | None = None) -> tuple[dict[Word, int], int]:
+    # Apply sum_i weights[i] * X(I_i) once to the vector ints / den: creation
+    # of each i, the alpha * length drift, and annihilation of a leading i; on
+    # the vacuum only creation fires. Coefficients stay Python ints: every
+    # multiplier is scaled by the lcm of their denominators, so the result is
+    # (ints, den * scale). Words longer than budget are never formed. The
+    # result may hold zero coefficients.
     ell = grid.cell_length
     drift = Fraction(alpha) * ell * sum(weights.values())
-    annihilate = {i: w * ell for i, w in weights.items()}
+    scale = math.lcm(drift.denominator, *(f.denominator for w in weights.values() for f in (w, w * ell)))
+    create = [(i, int(w * scale)) for i, w in weights.items()]
+    annihilate = {i: int(w * ell * scale) for i, w in weights.items()}
+    drift = int(drift * scale)
     limit = math.inf if budget is None else budget
-    out: dict[Word, Fraction] = {}
-
-    def bump(word: Word, value: Fraction) -> None:
-        prev = out.get(word)
-        out[word] = value if prev is None else prev + value
-
-    for w, c in coef.items():
+    # creation never forms the same word twice, so it fills the dict first
+    out = {(i,) + w: k * c for w, c in ints.items() if len(w) < limit for i, k in create}
+    for w, c in ints.items():
         length = len(w)
-        if length < limit:
-            for i, weight in weights.items():
-                bump((i,) + w, c if weight == 1 else weight * c)
         if length:
             if drift and length <= limit:
-                bump(w, drift * c)
-            weight = annihilate.get(w[0])
-            if weight and length <= limit + 1:
-                bump(w[1:], weight * c)
-    return out
+                out[w] = out.get(w, 0) + drift * c
+            k = annihilate.get(w[0])
+            if k and length <= limit + 1:
+                out[w[1:]] = out.get(w[1:], 0) + k * c
+    return out, den * scale
+
+
+def _accumulate(acc: dict[Word, int], acc_den: int, factor: Fraction, ints: dict[Word, int], den: int) -> int:
+    # acc / acc_den += factor * ints / den in place; returns the new denominator
+    new_den = math.lcm(acc_den, den * factor.denominator)
+    if new_den != acc_den:
+        for w in acc:
+            acc[w] *= new_den // acc_den
+    up = factor.numerator * (new_den // (den * factor.denominator))
+    for w, n in ints.items():
+        acc[w] = acc.get(w, 0) + up * n
+    return new_den
 
 
 def apply_increment(grid: IntervalGrid, i: int, alpha, v: FockVector) -> FockVector:
@@ -148,7 +170,7 @@ def apply_increment(grid: IntervalGrid, i: int, alpha, v: FockVector) -> FockVec
         raise ValueError(f"cell index {i} out of range 1..{grid.cells}")
     if v.grid != grid:
         raise ValueError("grid mismatch")
-    return FockVector._from_clean(grid, _act(grid, {i: 1}, alpha, v.coef))
+    return FockVector._from_ints(grid, *_act(grid, {i: 1}, alpha, *_to_ints(v.coef)))
 
 
 class OperatorExpr:
@@ -249,24 +271,25 @@ class OperatorExpr:
         """Linear extension over terms; each generator word acts right to left.
 
         All length-one words (a weighted sum of increments, the hot path for
-        moment tables) are handled in a single pass over the vector.
+        moment tables) are handled in a single pass over the vector. The terms
+        are summed in integers over a common denominator.
         """
         if v.grid != self.grid:
             raise ValueError("grid mismatch")
         bad = [i for i in self.support_cells() if not 1 <= i <= self.grid.cells]
         if bad:
             raise ValueError(f"cell index {min(bad)} out of range 1..{self.grid.cells}")
+        ints, den = _to_ints(v.coef)
         singles = {w[0]: c for w, c in self.terms.items() if len(w) == 1}
-        out = _act(self.grid, singles, alpha, v.coef) if singles else {}
+        out, out_den = _act(self.grid, singles, alpha, ints, den)
         for w, c in self.terms.items():
             if len(w) == 1:
                 continue
-            current = v.coef
+            current = ints, den
             for letter in reversed(w):
-                current = _act(self.grid, {letter: 1}, alpha, current)
-            for word, cv in current.items():
-                out[word] = out.get(word, 0) + c * cv
-        return FockVector._from_clean(self.grid, out)
+                current = _act(self.grid, {letter: 1}, alpha, *current)
+            out_den = _accumulate(out, out_den, c, *current)
+        return FockVector._from_ints(self.grid, out, out_den)
 
 
 def c_t_expr(grid: IntervalGrid, alpha) -> OperatorExpr:
@@ -290,11 +313,11 @@ def _iterated_whole_interval_moments(grid: IntervalGrid, alpha, degree: int, see
     # degree - step can never annihilate back to the vacuum in time and are
     # never formed, which keeps the live vector small at any grid size.
     whole = {i: 1 for i in range(1, grid.cells + 1)}
-    coef = seed.coef
+    ints, den = _to_ints(seed.coef)
     out = []
     for step in range(1, degree + 1):
-        coef = {w: c for w, c in _act(grid, whole, alpha, coef, degree - step).items() if c}
-        out.append(coef.get((), Fraction(0)))
+        ints, den = _act(grid, whole, alpha, ints, den, degree - step)
+        out.append(Fraction(ints.get((), 0), den))
     return tuple(out)
 
 
@@ -309,30 +332,40 @@ def psi_moment_table(grid: IntervalGrid, alpha, degree: int) -> tuple[Fraction, 
     return _iterated_whole_interval_moments(grid, alpha, degree, seed)
 
 
-def _orthogonal_expr(grid: IntervalGrid, first_cell: int, last_cell: int, degree: int, alpha, family: str) -> OperatorExpr:
-    # Monic polynomial of the interval generator: "p" has beta_0 = alpha*len,
-    # "q" has beta_0 = 0; both recurse with beta = alpha*len, gamma = len.
+def _orthogonal(grid: IntervalGrid, first_cell: int, last_cell: int, degree: int, alpha, family: str, start, times_x):
+    # Monic polynomial of the interval generator X applied to start (the
+    # identity OperatorExpr or a FockVector); times_x(x, value) multiplies
+    # value by X. "p" has beta_0 = alpha*len, "q" has beta_0 = 0; both recurse
+    # with beta = alpha*len, gamma = len.
     length = grid.cell_length * (last_cell - first_cell + 1)
     a = Fraction(alpha)
     x = OperatorExpr.interval(grid, first_cell, last_cell)
-    prev = OperatorExpr.identity(grid)
+    prev = start
     if degree == 0:
         return prev
-    cur = x - prev.scaled(a * length) if family == "p" else x
+    cur = times_x(x, prev) - prev.scaled(a * length if family == "p" else 0)
     for _ in range(degree - 1):
-        nxt = x * cur - cur.scaled(a * length) - prev.scaled(length)
+        nxt = times_x(x, cur) - cur.scaled(a * length) - prev.scaled(length)
         prev, cur = cur, nxt
     return cur
 
 
 def martingale_expr(grid: IntervalGrid, cells: int, degree: int, alpha) -> OperatorExpr:
     """Q_degree(X(t), t) for t = cells * cell_length."""
-    return _orthogonal_expr(grid, 1, cells, degree, alpha, "q")
+    return _orthogonal(grid, 1, cells, degree, alpha, "q", OperatorExpr.identity(grid), operator.mul)
 
 
 def centered_expr(grid: IntervalGrid, first_cell: int, last_cell: int, degree: int, alpha) -> OperatorExpr:
     """P_degree(X(I), |I|) over a contiguous interval."""
-    return _orthogonal_expr(grid, first_cell, last_cell, degree, alpha, "p")
+    return _orthogonal(grid, first_cell, last_cell, degree, alpha, "p", OperatorExpr.identity(grid), operator.mul)
+
+
+def _vacuum_state(factors, alpha, v: FockVector) -> Fraction:
+    # vacuum coefficient of f_1 ... f_m v, the factors applied right to left
+    # so that their product is never expanded
+    for f in reversed(factors):
+        v = f.apply(v, alpha)
+    return v.vacuum_coefficient()
 
 
 def product_lemma_vector(grid: IntervalGrid, alpha, groups) -> FockVector:
@@ -357,11 +390,11 @@ def product_lemma_vector(grid: IntervalGrid, alpha, groups) -> FockVector:
     for ((lo1, hi1), _), ((lo2, hi2), _) in zip(groups, groups[1:]):
         if not (hi1 < lo2 or hi2 < lo1):
             raise ValueError("consecutive intervals overlap")
-    expr = OperatorExpr.identity(grid)
-    for (cells, degree), is_last in zip(groups, [False] * (len(groups) - 1) + [True]):
-        family = "q" if is_last else "p"
-        expr = expr * _orthogonal_expr(grid, cells[0], cells[1], degree, alpha, family)
-    return expr.apply(FockVector.vacuum(grid), alpha)
+    v = FockVector.vacuum(grid)
+    for k, ((lo, hi), degree) in reversed(list(enumerate(groups))):
+        family = "q" if k == len(groups) - 1 else "p"
+        v = _orthogonal(grid, lo, hi, degree, alpha, family, v, lambda x, u: x.apply(u, alpha))
+    return v
 
 
 def elementary_tensor(grid: IntervalGrid, groups) -> FockVector:
@@ -418,12 +451,10 @@ def freeness_check(grid: IntervalGrid, alpha, factors) -> FreenessReport:
     for a, b in zip(supports, supports[1:]):
         if a == b:
             raise ValueError("consecutive factors use the same increment")
-    product = OperatorExpr.identity(grid)
-    for f in factors:
-        product = product * f
+    vacuum = FockVector.vacuum(grid)
     return FreenessReport(
-        psi_of_product=state_psi_t(product, alpha),
-        phi_of_product=state_phi(product, alpha),
+        psi_of_product=_vacuum_state(factors + [c_t_expr(grid, alpha)], alpha, vacuum),
+        phi_of_product=_vacuum_state(factors, alpha, vacuum),
         phi_factors=tuple(state_phi(f, alpha) for f in factors),
     )
 
@@ -439,9 +470,10 @@ def martingale_check(grid: IntervalGrid, alpha, degree: int, t_cells: int, s_cel
         raise ValueError("need grid times t < s inside the grid")
     _check_past_support(past, t_cells)
     b_star = past.adjoint()
-    q_s = martingale_expr(grid, s_cells, degree, alpha)
-    q_t = martingale_expr(grid, t_cells, degree, alpha)
-    return (state_phi(b_star * q_s, alpha), state_phi(b_star * q_t, alpha))
+    vacuum = FockVector.vacuum(grid)
+    q_s, q_t = (_orthogonal(grid, 1, cells, degree, alpha, "q", vacuum, lambda x, u: x.apply(u, alpha))
+                for cells in (s_cells, t_cells))
+    return (b_star.apply(q_s, alpha).vacuum_coefficient(), b_star.apply(q_t, alpha).vacuum_coefficient())
 
 
 def cond_exp_obstruction(grid: IntervalGrid, alpha, t_cells: int, s_cells: int, past: OperatorExpr) -> tuple[Fraction, Fraction]:
@@ -458,12 +490,10 @@ def cond_exp_obstruction(grid: IntervalGrid, alpha, t_cells: int, s_cells: int, 
     b_star = past.adjoint()
     x_s = OperatorExpr.interval(grid, 1, s_cells)
     x_t = OperatorExpr.interval(grid, 1, t_cells)
-    s = grid.cell_length * s_cells
-    t = grid.cell_length * t_cells
-    lhs = state_phi(b_star * x_s * x_t, alpha)
-    target = x_t * x_t + x_t.scaled(Fraction(alpha) * (s - t))
-    rhs = state_phi(b_star * target, alpha)
-    return (lhs, rhs)
+    shift = Fraction(alpha) * grid.cell_length * (s_cells - t_cells)
+    # X(t)^2 + alpha (s-t) X(t) = (X(t) + alpha (s-t)) X(t)
+    x_t_vacuum = x_t.apply(FockVector.vacuum(grid), alpha)
+    return (_vacuum_state([b_star, x_s], alpha, x_t_vacuum), _vacuum_state([b_star, x_t + shift], alpha, x_t_vacuum))
 
 
 def kernel_vector(grid: IntervalGrid, alpha, depth: int) -> FockVector:

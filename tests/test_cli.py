@@ -115,7 +115,7 @@ class TestVariationTable:
     def test_centered_table(self, capsys):
         code, out = run(
             capsys, "variation-table", "--alpha", "1", "--beta", "2", "--T", "1",
-            "--k", "2", "--n", "2", "--N-list", "2,4",
+            "--n", "2", "--N-list", "2,4",
         )
         assert code == 0
         rows = out.strip().splitlines()[1:]
@@ -163,6 +163,10 @@ class TestPlumbing:
             ["norm-table", "--alpha", "1", "--T", "1", "--N", "2", "--k", "0"],
             ["moments", "--alpha", "1", "--T", "0", "--order", "4"],
             ["moments", "--alpha", "1", "--T", "-1", "--order", "4"],
+            ["variation-table", "--alpha", "1", "--T", "1", "--k", "0", "--n", "2", "--N-list", "2"],
+            ["variation-table", "--alpha", "1", "--T", "1", "--k", "5", "--n", "2", "--N-list", "2"],
+            ["selfcheck", "--alpha", "1", "--T", "1", "--order", "3"],
+            ["selfcheck", "--alpha", "1", "--T", "1", "--order", "1"],
         ],
     )
     def test_malformed_input_exits_2(self, capsys, argv):

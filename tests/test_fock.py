@@ -1,8 +1,11 @@
 import itertools
+import math
 import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from twostate.cumulants import brownian_family, mixed_moment
 from twostate.fock import (
@@ -11,6 +14,7 @@ from twostate.fock import (
     OperatorExpr,
     apply_increment,
     c_t_expr,
+    centered_expr,
     cond_exp_obstruction,
     elementary_tensor,
     freeness_check,
@@ -26,6 +30,7 @@ from twostate.fock import (
     state_phi,
     state_psi_t,
 )
+from twostate.spectral import JacobiParams, jacobi_to_moments
 
 
 def grid12():
@@ -466,3 +471,96 @@ class TestSerialization:
             {"word": [1, 2], "coef": "-3/4"},
         ]
         assert FockVector.from_json(grid, data) == v
+
+
+class TestRightToLeftMatchesExpandedProduct:
+    """The checks apply their factors to a vector right to left.
+
+    Each value must equal the state of the expanded OperatorExpr product built
+    by __mul__. Both sides are the Fock route, so this pins the evaluation
+    order inside that route; it is not an oracle between routes.
+    """
+
+    grid = IntervalGrid(F(9967, 9931), 3)
+    alpha = F(-9973, 9998)
+
+    def past(self):
+        # a non-palindromic word, so a wrong adjoint or order shows
+        x1, x2 = OperatorExpr.increment(self.grid, 1), OperatorExpr.increment(self.grid, 2)
+        return x1 * x2 * x2 - x1.scaled(F(4999, 9973)) + F(-9871, 9901)
+
+    @pytest.mark.parametrize("degree", [0, 1, 2, 3, 4])
+    def test_martingale_check(self, degree):
+        b_star = self.past().adjoint()
+        expected = tuple(
+            state_phi(b_star * martingale_expr(self.grid, cells, degree, self.alpha), self.alpha) for cells in (3, 2)
+        )
+        assert martingale_check(self.grid, self.alpha, degree, 2, 3, self.past()) == expected
+
+    def test_cond_exp_obstruction(self):
+        b_star = self.past().adjoint()
+        x_s, x_t = OperatorExpr.interval(self.grid, 1, 3), OperatorExpr.interval(self.grid, 1, 2)
+        shift = self.alpha * self.grid.cell_length
+        expected = (
+            state_phi(b_star * x_s * x_t, self.alpha),
+            state_phi(b_star * (x_t * x_t + x_t.scaled(shift)), self.alpha),
+        )
+        assert cond_exp_obstruction(self.grid, self.alpha, 2, 3, self.past()) == expected
+
+    def test_freeness_check(self):
+        factors = []
+        for cell, degree in [(1, 1), (2, 2), (3, 1), (1, 2)]:
+            raw = OperatorExpr.increment(self.grid, cell) ** degree + OperatorExpr.increment(self.grid, cell).scaled(F(9901, 97))
+            factors.append(raw - state_psi_t(raw, self.alpha))
+        product = factors[0] * factors[1] * factors[2] * factors[3]
+        report = freeness_check(self.grid, self.alpha, factors)
+        assert report.psi_of_product == state_psi_t(product, self.alpha)
+        assert report.phi_of_product == state_phi(product, self.alpha)
+        assert report.phi_of_product != 0
+
+    @pytest.mark.parametrize(
+        "groups",
+        [[((2, 3), 2), ((1, 1), 1)], [((2, 2), 1), ((3, 3), 2), ((1, 2), 2)], [((1, 3), 3)]],
+    )
+    def test_product_lemma_vector(self, groups):
+        expr = OperatorExpr.identity(self.grid)
+        for (lo, hi), degree in groups[:-1]:
+            expr = expr * centered_expr(self.grid, lo, hi, degree, self.alpha)
+        (_, hi), degree = groups[-1]
+        expr = expr * martingale_expr(self.grid, hi, degree, self.alpha)
+        expected = expr.apply(FockVector.vacuum(self.grid), self.alpha)
+        assert product_lemma_vector(self.grid, self.alpha, groups) == expected
+
+
+alphas = st.fractions(-5, 5, max_denominator=9999)
+times = st.fractions(F(1, 9999), 5, max_denominator=9999)
+
+
+class TestProperties:
+    @settings(max_examples=20, deadline=None)
+    @given(alpha=alphas, t=times, cells=st.integers(1, 4), degree=st.integers(1, 8))
+    def test_moment_tables_match_jacobi_closed_forms(self, alpha, t, cells, degree):
+        # Fock route against the spectral route: nu has beta_k = alpha T and
+        # gamma_k = T; mu differs only in beta_0 = 0
+        depth = degree // 2 + 1
+        nu = JacobiParams((alpha * t,) * depth, (t,) * depth)
+        mu = JacobiParams((F(0),) + (alpha * t,) * (depth - 1), (t,) * depth)
+        grid = IntervalGrid(t, cells)
+        assert phi_moment_table(grid, alpha, degree) == jacobi_to_moments(mu, degree)
+        assert psi_moment_table(grid, alpha, degree) == jacobi_to_moments(nu, degree)
+
+    @settings(max_examples=20, deadline=None)
+    @given(alpha=alphas, t=times, seed=st.integers(0, 2**32))
+    def test_apply_reads_out_reduced_fractions(self, alpha, t, seed):
+        grid = IntervalGrid(t, 3)
+        rng = random.Random(seed)
+
+        def rational():
+            return F(rng.randint(-9999, 9999), rng.randint(1, 9999))
+
+        v = FockVector(grid, {tuple(rng.randint(1, 3) for _ in range(rng.randint(0, 3))): rational() for _ in range(5)})
+        expr = OperatorExpr(grid, {tuple(rng.randint(1, 3) for _ in range(rng.randint(0, 3))): rational() for _ in range(4)})
+        for out in (expr.apply(v, alpha), apply_increment(grid, rng.randint(1, 3), alpha, v)):
+            for c in out.coef.values():
+                assert type(c) is F and c != 0
+                assert c.denominator > 0 and math.gcd(c.numerator, c.denominator) == 1
