@@ -15,6 +15,10 @@ from fractions import Fraction
 
 from . import fock, generator, spectral, variations
 from .cumulants import (
+    TRANSFORM_ORDER_CAP,
+    _free_sum,
+    _peel,
+    _two_state_sum,
     brownian_cumulants,
     brownian_family,
     free_cumulants_from_moments,
@@ -23,7 +27,7 @@ from .cumulants import (
     moments_from_two_state_cumulants,
     two_state_cumulants_from_moments,
 )
-from .partitions import enumerate_nc, enumerate_set_partitions
+from .partitions import _check_cap, enumerate_nc, enumerate_set_partitions
 from .rational import format_rational, parse_rational
 
 MEASURE_NAMES = {"nu": spectral.semicircle_law, "mu": spectral.free_poisson_law, "ct": spectral.ct_law}
@@ -38,14 +42,17 @@ def _emit(lines, path: str | None) -> None:
             handle.write(text)
 
 
-def _check_count(name: str, value: int, minimum: int = 1) -> None:
-    # Every count flag: a value below its minimum would succeed on nothing.
+def _check_count(name: str, value: int, minimum: int = 1, maximum: int | None = None) -> None:
+    # Every count flag: a value below its minimum would succeed on nothing,
+    # one above its maximum would be refused only after the inputs are built.
     if value < minimum:
         raise ValueError(f"{name} must be at least {minimum}, got {value}")
+    if maximum is not None and value > maximum:
+        raise ValueError(f"{name} must be at most {maximum}, got {value}")
 
 
 def cmd_moments(args) -> int:
-    _check_count("order", args.order)
+    _check_count("order", args.order, maximum=TRANSFORM_ORDER_CAP)
     outer, inner = brownian_cumulants(args.alpha, args.T, args.order, args.beta)
     phi = moments_from_two_state_cumulants(outer, inner, args.order)
     psi = moments_from_free_cumulants(inner, args.order)
@@ -57,7 +64,7 @@ def cmd_moments(args) -> int:
 
 
 def cmd_jacobi(args) -> int:
-    _check_count("order", args.order)
+    _check_count("order", args.order, maximum=TRANSFORM_ORDER_CAP)
     outer, inner = brownian_cumulants(args.alpha, args.t, args.order)
     nu_moments = moments_from_free_cumulants(inner, args.order)
     mu_moments = moments_from_two_state_cumulants(outer, inner, args.order)
@@ -237,10 +244,14 @@ def _selfcheck_items(alpha: Fraction, t: Fraction, big_n: int, order: int):
             assert len(enumerate_nc(n)) == c
 
     def transform_roundtrips():
+        # the series transforms against the partition sums, their oracle
         moments = moments_from_free_cumulants(inner, order)
-        assert free_cumulants_from_moments(moments) == inner
+        assert moments == tuple(_free_sum(j, inner) for j in range(1, order + 1))
+        assert free_cumulants_from_moments(moments) == _peel(moments, _free_sum) == inner
         phi_m = moments_from_two_state_cumulants(outer, inner, order)
-        assert two_state_cumulants_from_moments(phi_m, inner) == outer
+        assert phi_m == tuple(_two_state_sum(j, outer, inner) for j in range(1, order + 1))
+        oracle = _peel(phi_m, lambda j, outer_c: _two_state_sum(j, outer_c, inner))
+        assert two_state_cumulants_from_moments(phi_m, inner) == oracle == outer
 
     def cross_representation():
         grid = fock.IntervalGrid(t, big_n)
@@ -329,6 +340,7 @@ def _selfcheck_items(alpha: Fraction, t: Fraction, big_n: int, order: int):
 
 def cmd_selfcheck(args) -> int:
     _check_count("order", args.order, 4)
+    _check_cap(args.order, None)  # the transforms' partition-sum oracle enumerates
     items = _selfcheck_items(args.alpha, args.T, args.N, args.order)
     lines = []
     passed = 0

@@ -5,14 +5,22 @@ secondary state as a sum over non-crossing partitions with one factor per
 block. The two-state cumulants reconstruct moments of the primary state by the
 same sum, except that outer blocks carry the two-state cumulant and inner
 blocks the free one. Everything is exact rational arithmetic.
+
+The public transforms solve the generating-series form of these sums order by
+order, M_psi = 1 + sum_k r_k z^k M_psi^k and
+M_phi = 1 + sum_k R_k z^k M_psi^(k-1) M_phi, split by the block that holds 1.
+The partition sums themselves (_free_sum, _two_state_sum, _peel) are kept as
+the transforms' independent oracle for the tests and `selfcheck`.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
-from .partitions import _check_cap, _nc_table
+from .partitions import _check_cap, _nc_table, _noncrossing
 
 Rationals = tuple[Fraction, ...]
 
@@ -58,20 +66,87 @@ def _peel(moments, forward) -> Rationals:
     return tuple(c)
 
 
+# Highest order the series transforms accept. The power table of M_psi holds
+# about order^2 / 2 coefficients, so the cap is checked before any work; at
+# the cap one transform of dense rationals takes about a second.
+TRANSFORM_ORDER_CAP = 64
+
+
+def _check_order(n: int) -> None:
+    if n > TRANSFORM_ORDER_CAP:
+        raise ValueError(f"order {n} exceeds the transform order cap {TRANSFORM_ORDER_CAP}")
+
+
+def _graded(scale: int, *sequences) -> list[list[int]]:
+    # Each sequence x_1, x_2, ... as the integers scale^k x_k. A common
+    # denominator of every entry makes them integral, and the moment-cumulant
+    # relations are homogeneous in this grading (a product over the blocks of
+    # a partition of {1..k} carries scale^k), so the series run on integers.
+    return [[c.numerator * (scale**k // c.denominator) for k, c in enumerate(seq, start=1)] for seq in sequences]
+
+
+def _common_denominator(*sequences) -> int:
+    return math.lcm(*(c.denominator for seq in sequences for c in seq))
+
+
+def _ungraded(scale: int, coefficients) -> Rationals:
+    return tuple(Fraction(x, scale**k) for k, x in enumerate(coefficients[1:], start=1))
+
+
+def _free_series(known: list[int], invert: bool) -> tuple[list[int], list[int], list[list[int]]]:
+    # Solve M = 1 + sum_k r_k z^k M^k order by order: given the cumulants
+    # r_1..r_n, or with invert the moments m_1..m_n, return (m, r, powers)
+    # with m[0] = 1 and powers[k] the coefficients of M^k, of degree up to
+    # n - k. At order j the one-block term is r_j; every other partition is in
+    # rest = sum_{k<j} r_k [z^(j-k)] M^k, so m_j = r_j + rest and
+    # r_j = m_j - rest.
+    m, r = [1], [0]
+    powers = [[1], m]
+    for j, x in enumerate(known, start=1):
+        for k in range(2, j):
+            powers[k].append(sum(map(mul, powers[k - 1], m[j - k::-1])))
+        powers.append([1])
+        rest = sum(r[k] * powers[k][j - k] for k in range(1, j))
+        m.append(x if invert else x + rest)
+        r.append(x - rest if invert else x)
+    return m, r, powers
+
+
+def _two_state_series(known: list[int], powers: list[list[int]], invert: bool) -> tuple[list[int], list[int]]:
+    # Solve M_phi = 1 + sum_k R_k z^k M_psi^(k-1) M_phi order by order, with
+    # powers the table of M_psi from _free_series. M_phi is the reciprocal of
+    # 1 - G, G = sum_k R_k z^k M_psi^(k-1), so phi_j = sum_{i<=j} g_i phi_(j-i).
+    # Given R_1..R_n, or with invert phi_1..phi_n, return (phi, R). As in
+    # _free_series, R_j enters phi_j once, through g_j.
+    phi, big_r, g = [1], [0], [0]
+    for j, x in enumerate(known, start=1):
+        g_rest = sum(big_r[k] * powers[k - 1][j - k] for k in range(2, j))
+        rest = g_rest + sum(map(mul, g[1:j], phi[j - 1:0:-1]))
+        phi.append(x if invert else x + rest)
+        big_r.append(x - rest if invert else x)
+        g.append(big_r[j] + g_rest)
+    return phi, big_r
+
+
 def moments_from_free_cumulants(cumulants, n: int) -> Rationals:
     """Moments m_1..m_n of the distribution with the given free cumulants."""
     c = as_rationals(cumulants)
     if len(c) < n:
         raise ValueError(f"need {n} cumulants, got {len(c)}")
-    _check_cap(n, None)
-    return tuple(_free_sum(j, c) for j in range(1, n + 1))
+    _check_order(n)
+    c = c[:max(n, 0)]
+    scale = _common_denominator(c)
+    (r,) = _graded(scale, c)
+    return _ungraded(scale, _free_series(r, invert=False)[0])
 
 
 def free_cumulants_from_moments(moments) -> Rationals:
-    """Invert the free moment formula by peeling the one-block partition."""
+    """Invert the free moment formula one order at a time."""
     m = as_rationals(moments)
-    _check_cap(len(m), None)
-    return _peel(m, _free_sum)
+    _check_order(len(m))
+    scale = _common_denominator(m)
+    (graded,) = _graded(scale, m)
+    return _ungraded(scale, _free_series(graded, invert=True)[1])
 
 
 def moments_from_two_state_cumulants(r_phi_psi, r_psi, n: int) -> Rationals:
@@ -80,8 +155,12 @@ def moments_from_two_state_cumulants(r_phi_psi, r_psi, n: int) -> Rationals:
     inner_c = as_rationals(r_psi)
     if len(outer_c) < n or len(inner_c) < n:
         raise ValueError(f"need {n} cumulants of each kind")
-    _check_cap(n, None)
-    return tuple(_two_state_sum(j, outer_c, inner_c) for j in range(1, n + 1))
+    _check_order(n)
+    outer_c, inner_c = outer_c[:max(n, 0)], inner_c[:max(n, 0)]
+    scale = _common_denominator(outer_c, inner_c)
+    outer, inner = _graded(scale, outer_c, inner_c)
+    powers = _free_series(inner, invert=False)[2]
+    return _ungraded(scale, _two_state_series(outer, powers, invert=False)[0])
 
 
 def two_state_cumulants_from_moments(m_phi, r_psi) -> Rationals:
@@ -90,8 +169,12 @@ def two_state_cumulants_from_moments(m_phi, r_psi) -> Rationals:
     inner_c = as_rationals(r_psi)
     if len(inner_c) < len(m):
         raise ValueError("free cumulant sequence shorter than the moments")
-    _check_cap(len(m), None)
-    return _peel(m, lambda j, outer_c: _two_state_sum(j, outer_c, inner_c))
+    _check_order(len(m))
+    inner_c = inner_c[:len(m)]
+    scale = _common_denominator(m, inner_c)
+    graded, inner = _graded(scale, m, inner_c)
+    powers = _free_series(inner, invert=False)[2]
+    return _ungraded(scale, _two_state_series(graded, powers, invert=True)[1])
 
 
 def cumulant_dilate(cumulants, scale) -> Rationals:
@@ -197,8 +280,9 @@ def brownian_family(alpha, total_time, count: int, order: int = 8, beta=1) -> In
 def mixed_moment(family: IncrementFamilySpec, word, state: str) -> Fraction:
     """Joint moment of a word of increments under "phi" or "psi".
 
-    A block contributes only when the word is constant on it; mixed cumulants
-    across distinct increments vanish by two-state free independence.
+    Only partitions whose blocks are constant on the word are generated; the
+    rest contribute nothing, since mixed cumulants across distinct increments
+    vanish by two-state free independence.
     """
     if state not in ("phi", "psi"):
         raise ValueError("state must be 'phi' or 'psi'")
@@ -214,13 +298,9 @@ def mixed_moment(family: IncrementFamilySpec, word, state: str) -> Fraction:
     _check_cap(len(w), None)
     use_outer = state == "phi"
     total = Fraction(0)
-    for blocks, inner_flags in _nc_table(len(w)):
+    for blocks, inner_flags in _noncrossing(len(w), w):
         term = Fraction(1)
         for block, inner in zip(blocks, inner_flags):
-            first = w[block[0] - 1]
-            if any(w[x - 1] != first for x in block[1:]):
-                term = Fraction(0)
-                break
             if use_outer and not inner:
                 term *= spec.r_phi_psi[len(block) - 1]
             else:

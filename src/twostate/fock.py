@@ -532,10 +532,12 @@ def kernel_shift_vacuum_pairing(alpha, t, s_cells: int, cells: int, depth: int) 
     eta_D is re-expanded over the refined grid so that X(s), an earlier chunk
     of the interval, can act on it.
     """
+    a = Fraction(alpha)
+    if a == 0:
+        raise ValueError("alpha must be nonzero")
     if not 1 <= s_cells < cells:
         raise ValueError("need 1 <= s_cells < cells")
     grid = IntervalGrid(Fraction(t), cells)
-    a = Fraction(alpha)
     ratio = -1 / (a * Fraction(t))
     coef: dict[Word, Fraction] = {}
     value = Fraction(1)

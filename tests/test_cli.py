@@ -3,6 +3,7 @@ import json
 import pytest
 
 from twostate.cli import main
+from twostate.cumulants import TRANSFORM_ORDER_CAP
 
 
 def run(capsys, *argv):
@@ -17,6 +18,16 @@ class TestMoments:
         assert code == 0
         lines = out.strip().splitlines()
         assert lines[0] == "n,phi_moment,psi_moment"
+        assert lines[1] == "1,0,1"
+        assert lines[4] == "4,3,9"
+
+    def test_order_past_the_enumeration_cap(self, capsys, monkeypatch):
+        # the transforms run by series, so FREEPROB_MAX_N does not bound them
+        monkeypatch.setenv("FREEPROB_MAX_N", "3")
+        code, out = run(capsys, "moments", "--alpha", "1", "--T", "1", "--order", "13")
+        assert code == 0
+        lines = out.strip().splitlines()
+        assert len(lines) == 14
         assert lines[1] == "1,0,1"
         assert lines[4] == "4,3,9"
 
@@ -167,6 +178,9 @@ class TestPlumbing:
             ["variation-table", "--alpha", "1", "--T", "1", "--k", "5", "--n", "2", "--N-list", "2"],
             ["selfcheck", "--alpha", "1", "--T", "1", "--order", "3"],
             ["selfcheck", "--alpha", "1", "--T", "1", "--order", "1"],
+            ["selfcheck", "--alpha", "1", "--T", "1", "--order", "13"],
+            ["moments", "--alpha", "1", "--T", "1", "--order", str(TRANSFORM_ORDER_CAP + 1)],
+            ["jacobi", "--alpha", "1", "--t", "1", "--order", str(TRANSFORM_ORDER_CAP + 1)],
         ],
     )
     def test_malformed_input_exits_2(self, capsys, argv):
@@ -186,8 +200,10 @@ class TestPlumbing:
          ("3", "error: n=4 exceeds the enumeration cap 3")],
     )
     def test_cap_errors_exit_2(self, capsys, monkeypatch, raw, message):
+        # the k = 2 table needs the mixed moment of a word of length 4, which
+        # enumerates partitions; the moment transforms no longer do
         monkeypatch.setenv("FREEPROB_MAX_N", raw)
-        code = main(["moments", "--alpha", "1", "--T", "1", "--order", "4"])
+        code = main(["variation-table", "--alpha", "1", "--beta", "1", "--T", "1", "--k", "2", "--N-list", "2"])
         captured = capsys.readouterr()
         assert code == 2
         assert captured.err.splitlines() == [message]

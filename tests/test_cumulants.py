@@ -3,8 +3,10 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from twostate import cumulants
+from twostate import cumulants, partitions
 from twostate.cumulants import (
     IncrementFamilySpec,
     TwoStateElementSpec,
@@ -238,20 +240,147 @@ class TestFamilySpec:
             brownian_cumulants(F(1), t, 4)
 
 
+def _oracle_two_state_moments(outer, inner, n):
+    return tuple(cumulants._two_state_sum(j, outer, inner) for j in range(1, n + 1))
+
+
+def _oracle_free_moments(c, n):
+    return tuple(cumulants._free_sum(j, c) for j in range(1, n + 1))
+
+
+def _oracle_two_state_cumulants(m, inner):
+    return cumulants._peel(m, lambda j, outer: cumulants._two_state_sum(j, outer, inner))
+
+
+# One past the default enumeration cap. The oracle is compared on the first
+# ORACLE_ORDER values: its sums at order 12 would add about 8 s to the suite,
+# and the property tests below cover orders 1-9 on dense data.
+ORDER, ORACLE_ORDER = 13, 10
+OUTER, INNER = brownian_cumulants(F(1, 2), F(2, 3), ORDER, beta=F(3))
+
+
+def _pad(moments):
+    # arbitrary moments beyond the oracle's order, up to ORDER
+    return moments + (F(1),) * (ORDER - len(moments))
+
+
 class TestEnumerationCap:
+    # mixed_moment is the one entry point here that still enumerates
     CALLS = {
-        "moments_from_free_cumulants": lambda: moments_from_free_cumulants(ZERO4, 4),
-        "free_cumulants_from_moments": lambda: free_cumulants_from_moments(ZERO4),
-        "moments_from_two_state_cumulants": lambda: moments_from_two_state_cumulants(ZERO4, ZERO4, 4),
-        "two_state_cumulants_from_moments": lambda: two_state_cumulants_from_moments(ZERO4, ZERO4),
         "mixed_moment": lambda: mixed_moment(brownian_family(F(1), F(1), 2, order=4), (1, 2, 2, 1), "phi"),
     }
 
     @pytest.mark.parametrize("name", sorted(CALLS))
     def test_checked_before_any_table_is_built(self, name, monkeypatch):
         built = []
-        monkeypatch.setattr(cumulants, "_nc_table", lambda n: built.append(n) or ())
+        monkeypatch.setattr(cumulants, "_noncrossing", lambda n, word: built.append(n) or [])
         monkeypatch.setenv("FREEPROB_MAX_N", "3")
         with pytest.raises(SizeLimitError, match="^n=4 exceeds the enumeration cap 3$"):
             self.CALLS[name]()
         assert built == []
+        # the spy is on the path: under the cap it is called
+        monkeypatch.setenv("FREEPROB_MAX_N", "4")
+        self.CALLS[name]()
+        assert built == [4]
+
+    # name: (inputs and the oracle's first ORACLE_ORDER values, the transform).
+    # The inverses' oracle is _peel, which returns the cumulants themselves on
+    # moments the partition sums produced from them.
+    TRANSFORMS = {
+        "moments_from_free_cumulants": (
+            lambda: ((INNER, ORDER), _oracle_free_moments(INNER, ORACLE_ORDER)),
+            moments_from_free_cumulants,
+        ),
+        "free_cumulants_from_moments": (
+            lambda: ((_pad(_oracle_free_moments(INNER, ORACLE_ORDER)),), INNER[:ORACLE_ORDER]),
+            free_cumulants_from_moments,
+        ),
+        "moments_from_two_state_cumulants": (
+            lambda: ((OUTER, INNER, ORDER), _oracle_two_state_moments(OUTER, INNER, ORACLE_ORDER)),
+            moments_from_two_state_cumulants,
+        ),
+        "two_state_cumulants_from_moments": (
+            lambda: ((_pad(_oracle_two_state_moments(OUTER, INNER, ORACLE_ORDER)), INNER), OUTER[:ORACLE_ORDER]),
+            two_state_cumulants_from_moments,
+        ),
+    }
+
+    @pytest.mark.parametrize("name", sorted(TRANSFORMS))
+    def test_transforms_have_no_enumeration_cap(self, name, monkeypatch):
+        prepare, transform = self.TRANSFORMS[name]
+        args, expected = prepare()
+        monkeypatch.setattr(cumulants, "_nc_table", lambda n: pytest.fail("a transform enumerated partitions"))
+        monkeypatch.setenv("FREEPROB_MAX_N", "3")
+        got = transform(*args)
+        assert len(got) == ORDER
+        assert got[:ORACLE_ORDER] == expected
+
+    @pytest.mark.parametrize("name", sorted(TRANSFORMS))
+    def test_order_cap_checked_before_any_work(self, name, monkeypatch):
+        monkeypatch.setattr(cumulants, "_free_series", lambda *args: pytest.fail("series built past the cap"))
+        n = cumulants.TRANSFORM_ORDER_CAP + 1
+        ones = (F(1),) * n
+        args = {
+            "moments_from_free_cumulants": (ones, n),
+            "free_cumulants_from_moments": (ones,),
+            "moments_from_two_state_cumulants": (ones, ones, n),
+            "two_state_cumulants_from_moments": (ones, ones),
+        }
+        with pytest.raises(ValueError, match=f"^order {n} exceeds the transform order cap {n - 1}$"):
+            self.TRANSFORMS[name][1](*args[name])
+
+
+dense = st.fractions(-5, 5, max_denominator=99).filter(lambda x: x != 0)
+
+
+def dense_sequences(count, min_size=1, max_size=9):
+    return st.integers(min_size, max_size).flatmap(
+        lambda n: st.tuples(*(st.lists(dense, min_size=n, max_size=n).map(tuple) for _ in range(count)))
+    )
+
+
+class TestSeriesMatchesPartitionOracle:
+    """The series transforms against the partition sums, on dense rational data."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(dense_sequences(1))
+    def test_free_moments(self, data):
+        (c,) = data
+        assert moments_from_free_cumulants(c, len(c)) == _oracle_free_moments(c, len(c))
+
+    @settings(max_examples=25, deadline=None)
+    @given(dense_sequences(1))
+    def test_free_cumulants(self, data):
+        (m,) = data
+        assert free_cumulants_from_moments(m) == cumulants._peel(m, cumulants._free_sum)
+
+    @settings(max_examples=25, deadline=None)
+    @given(dense_sequences(2))
+    def test_two_state_moments(self, data):
+        outer, inner = data
+        assert moments_from_two_state_cumulants(outer, inner, len(outer)) == _oracle_two_state_moments(outer, inner, len(outer))
+
+    @settings(max_examples=25, deadline=None)
+    @given(dense_sequences(2))
+    def test_two_state_cumulants(self, data):
+        m, inner = data
+        assert two_state_cumulants_from_moments(m, inner) == _oracle_two_state_cumulants(m, inner)
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=dense_sequences(2, min_size=9, max_size=9), count=st.integers(1, 4), state=st.sampled_from(["phi", "psi"]),
+           letters=st.lists(st.integers(0, 3), max_size=9))
+    def test_kernel_pruned_mixed_moment(self, data, count, state, letters):
+        # the unpruned sum: every non-crossing partition, kept only when each
+        # block is constant on the word; dense cumulants cover beta != 1
+        family = IncrementFamilySpec(count, TwoStateElementSpec(*data), F(1))
+        word = tuple(x % count + 1 for x in letters)
+        spec = family.per_increment
+        expected = F(1) if not word else F(0)
+        for blocks, inner_flags in (partitions._nc_table(len(word)) if word else ()):
+            if any(word[x - 1] != word[block[0] - 1] for block in blocks for x in block):
+                continue
+            term = F(1)
+            for block, inner in zip(blocks, inner_flags):
+                term *= spec.r_phi_psi[len(block) - 1] if state == "phi" and not inner else spec.r_psi[len(block) - 1]
+            expected += term
+        assert mixed_moment(family, word, state) == expected

@@ -460,6 +460,13 @@ class TestKernel:
         assert kernel_shift_vacuum_pairing(F(1), F(4), 1, 2, depth) == 0
         assert kernel_shift_vacuum_pairing(F(1), F(4), 2, 4, depth) == 0
 
+    @pytest.mark.parametrize("fn", [lambda: kernel_vector(IntervalGrid(F(1), 1), 0, 3),
+                                    lambda: kernel_shift_vacuum_pairing(0, 1, 1, 2, 3)],
+                             ids=["kernel_vector", "kernel_shift_vacuum_pairing"])
+    def test_zero_alpha_rejected(self, fn):
+        with pytest.raises(ValueError, match="^alpha must be nonzero$"):
+            fn()
+
 
 class TestSerialization:
     def test_vector_json_roundtrip(self):

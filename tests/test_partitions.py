@@ -21,7 +21,7 @@ from twostate.partitions import (
     singletons_partition,
     stirling2,
 )
-from twostate.partitions import _nc_table
+from twostate.partitions import _nc_table, _noncrossing
 
 BELL = [1, 1, 2, 5, 15, 52, 203, 877, 4140, 21147, 115975]
 CATALAN = [1, 1, 2, 5, 14, 42, 132, 429, 1430, 4862, 16796]
@@ -123,6 +123,15 @@ class TestNonCrossing:
                 reference.append((p.blocks, tuple(i in cls.inner for i in range(p.size))))
         assert list(_nc_table(n)) == reference
         assert [p.blocks for p in enumerate_nc(n)] == [blocks for blocks, _ in reference]
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_word_keeps_exactly_the_kernel_refinements(self, n):
+        # every word over three letters: the pruned generator yields the
+        # table's entries whose blocks are constant on the word, in order
+        for word in itertools.product("abc", repeat=n):
+            kept = [(blocks, flags) for blocks, flags in _nc_table(n)
+                    if all(word[x - 1] == word[b[0] - 1] for b in blocks for x in b)]
+            assert _noncrossing(n, word) == kept
 
     @pytest.mark.parametrize("n", range(1, 11))
     def test_pairs_singletons_route_agrees_with_filter(self, n):
