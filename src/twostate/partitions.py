@@ -244,42 +244,20 @@ def _pairs_and_singletons(labels: tuple[int, ...]) -> list[tuple[tuple[int, ...]
     return out
 
 
-def enumerate_nc(
-    n: int,
-    *,
-    pairs_and_singletons: bool = False,
-    no_outer_singletons: bool = False,
-    outer_disjoint_from_tau: bool = False,
-    cap: int | None = None,
-) -> list[SetPartition]:
-    """Non-crossing partitions of {1..n}, optionally filtered.
+def enumerate_nc(n: int, *, pairs_and_singletons: bool = False, cap: int | None = None) -> list[SetPartition]:
+    """Non-crossing partitions of {1..n}, optionally only pair/singleton ones.
 
     Both routes generate the partitions directly, without enumerating the
     full partition lattice: pair/singleton ones by a first-element recursion
-    (needed up to n = 16 for the variation sums, uncapped), all others by an
-    open-block stack in restricted-growth-string order, subject to the cap.
+    (uncapped), all others by an open-block stack in restricted-growth-string
+    order, subject to the cap.
     """
     if n < 1:
         raise ValueError("n must be positive")
-    if outer_disjoint_from_tau and n % 2 != 0:
-        raise ValueError("the tau filter needs an even ground set")
     if pairs_and_singletons:
-        candidates = [SetPartition.from_blocks(n, blocks) for blocks in _pairs_and_singletons(tuple(range(1, n + 1)))]
-    else:
-        _check_cap(n, cap)
-        candidates = [SetPartition(n, blocks) for blocks, _ in _noncrossing(n)]
-    if not (no_outer_singletons or outer_disjoint_from_tau):
-        return candidates
-    tau_blocks = set(adjacent_pairing(n // 2).blocks) if outer_disjoint_from_tau else set()
-    out = []
-    for p in candidates:
-        cls = _classify_unchecked(p)
-        if no_outer_singletons and cls.outer & cls.singletons:
-            continue
-        if outer_disjoint_from_tau and any(p.blocks[i] in tau_blocks for i in cls.outer):
-            continue
-        out.append(p)
-    return out
+        return [SetPartition.from_blocks(n, blocks) for blocks in _pairs_and_singletons(tuple(range(1, n + 1)))]
+    _check_cap(n, cap)
+    return [SetPartition(n, blocks) for blocks, _ in _noncrossing(n)]
 
 
 def refines(p: SetPartition, q: SetPartition) -> bool:

@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -181,13 +182,17 @@ class TestPlumbing:
             ["selfcheck", "--alpha", "1", "--T", "1", "--order", "13"],
             ["moments", "--alpha", "1", "--T", "1", "--order", str(TRANSFORM_ORDER_CAP + 1)],
             ["jacobi", "--alpha", "1", "--t", "1", "--order", str(TRANSFORM_ORDER_CAP + 1)],
+            ["norm-table", "--alpha", "1", "--beta", "1", "--T", "1", "--k", "2", "--n-max", "5", "--N", "2"],
         ],
     )
     def test_malformed_input_exits_2(self, capsys, argv):
+        # every size cap is checked before any work starts
+        start = time.perf_counter()
         try:
             code = main(argv)
         except SystemExit as info:
             code = info.code
+        assert time.perf_counter() - start < 1
         captured = capsys.readouterr()
         assert code == 2
         assert captured.out == ""

@@ -22,6 +22,7 @@ from twostate.partitions import (
     stirling2,
 )
 from twostate.partitions import _nc_table, _noncrossing
+from twostate.variations import _lemma_shapes
 
 BELL = [1, 1, 2, 5, 15, 52, 203, 877, 4140, 21147, 115975]
 CATALAN = [1, 1, 2, 5, 14, 42, 132, 429, 1430, 4862, 16796]
@@ -144,24 +145,18 @@ class TestNonCrossing:
         assert direct == filtered
 
     def test_flags_survivors_at_n4(self):
-        got = enumerate_nc(
-            4,
-            pairs_and_singletons=True,
-            no_outer_singletons=True,
-            outer_disjoint_from_tau=True,
-        )
-        assert {p.blocks for p in got} == {
-            ((1, 4), (2, 3)),
-            ((1, 4), (2,), (3,)),
-        }
+        # the lemma sum keeps ((1,4),(2,3)) and ((1,4),(2),(3)) at n = 2: keys
+        # (join size, blocks, singletons, inner free pairs, inner tau pairs)
+        assert _lemma_shapes(2) == (((1, 2, 0, 1, 0), 1), ((1, 3, 2, 0, 0), 1))
 
     def test_pairs_singletons_n2(self):
         got = enumerate_nc(2, pairs_and_singletons=True)
         assert {p.blocks for p in got} == {((1, 2),), ((1,), (2,))}
 
-    def test_tau_flag_odd_n(self):
-        with pytest.raises(ValueError):
-            enumerate_nc(3, outer_disjoint_from_tau=True)
+    def test_lemma_shapes_reject_n_below_one(self):
+        for n in (0, -1):
+            with pytest.raises(ValueError, match="n must be positive"):
+                _lemma_shapes(n)
 
 
 class TestClassification:

@@ -1,10 +1,15 @@
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from twostate.cumulants import TwoStateElementSpec, IncrementFamilySpec, brownian_family
 from twostate.fock import FockVector, IntervalGrid, OperatorExpr, state_psi_t
+from twostate.partitions import _classify_unchecked, adjacent_pairing, enumerate_nc, join
 from twostate.variations import (
+    _lemma_shapes,
     centered_power_moment,
     centered_qv_moment,
     norm_2n_table,
@@ -152,6 +157,42 @@ class TestCenteredQuadraticVariation:
                 assert centered_qv_moment(family, n, "bruteforce") == fock_power_moment(
                     F(1), F(1), count, 2, n, F(1)
                 )
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_shape_scan_matches_partition_filter_within_partition_route(self, n):
+        # consistency inside the partition route: the scan's shape counts
+        # against building, classifying and filtering every pair/singleton
+        # partition of {1..2n}
+        tau = adjacent_pairing(n)
+        expected = Counter()
+        for sigma in enumerate_nc(2 * n, pairs_and_singletons=True):
+            cls = _classify_unchecked(sigma)
+            if cls.outer & cls.singletons or any(sigma.blocks[i] in tau.blocks for i in cls.outer):
+                continue
+            pairs = [sigma.blocks[i] for i in cls.inner if len(sigma.blocks[i]) == 2]
+            inner_tau = sum(block in tau.blocks for block in pairs)
+            key = (join(sigma, tau).size, sigma.size, len(cls.singletons), len(pairs) - inner_tau, inner_tau)
+            expected[key] += 1
+        assert _lemma_shapes(n) == tuple(sorted(expected.items()))
+
+    @pytest.mark.parametrize("count", [2, 3])
+    @pytest.mark.parametrize("n", [5, 6])
+    def test_lemma_sum_against_fock_past_bruteforce_cap(self, n, count):
+        alpha, t = F(-3, 2), F(2, 3)
+        family = brownian_family(alpha, t, count)
+        assert centered_qv_moment(family, n, "lemma_sum") == fock_power_moment(alpha, t, count, 2, n, t)
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        alpha=st.fractions(-5, 5, max_denominator=99),
+        beta=st.fractions(-5, 5, max_denominator=99),
+        t=st.fractions(F(1, 99), 5, max_denominator=99),
+        count=st.integers(1, 4),
+        n=st.integers(1, 4),
+    )
+    def test_lemma_sum_matches_bruteforce_on_random_rationals(self, alpha, beta, t, count, n):
+        family = brownian_family(alpha, t, count, beta=beta)
+        assert centered_qv_moment(family, n, "lemma_sum") == centered_qv_moment(family, n, "bruteforce")
 
     def test_lemma_reaches_higher_powers(self):
         family = brownian_family(F(1), F(1), 2)
