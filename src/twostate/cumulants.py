@@ -295,7 +295,7 @@ def mixed_moment(family: IncrementFamilySpec, word, state: str) -> Fraction:
     spec = family.per_increment
     if len(w) > spec.order:
         raise ValueError("word longer than the truncation order")
-    _check_cap(len(w), None)
+    _check_cap(len(w))
     use_outer = state == "phi"
     total = Fraction(0)
     for blocks, inner_flags in _noncrossing(len(w), w):

@@ -20,8 +20,6 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .rational import format_rational, parse_rational
-
 Word = tuple[int, ...]
 
 
@@ -103,16 +101,6 @@ class FockVector:
         if isinstance(other, FockVector):
             return self.grid == other.grid and self.coef == other.coef
         return NotImplemented
-
-    def to_json(self) -> list[dict]:
-        return [
-            {"word": list(w), "coef": format_rational(c)}
-            for w, c in sorted(self.coef.items(), key=lambda item: (len(item[0]), item[0]))
-        ]
-
-    @staticmethod
-    def from_json(grid: IntervalGrid, data) -> "FockVector":
-        return FockVector(grid, {tuple(item["word"]): parse_rational(item["coef"]) for item in data})
 
 
 def _to_ints(coef: dict[Word, Fraction]) -> tuple[dict[Word, int], int]:
@@ -519,11 +507,6 @@ def kernel_residual(alpha, t, depth: int) -> float:
     image = c_t_expr(grid, alpha).apply(eta, alpha)
     ratio_sq = image.norm_squared() / eta.norm_squared()
     return float(ratio_sq) ** 0.5
-
-
-def kernel_norm_squared(alpha, t, depth: int) -> Fraction:
-    grid = IntervalGrid(Fraction(t), 1)
-    return kernel_vector(grid, alpha, depth).norm_squared()
 
 
 def kernel_shift_vacuum_pairing(alpha, t, s_cells: int, cells: int, depth: int) -> Fraction:

@@ -9,29 +9,14 @@ keeps golden tests deterministic.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from functools import lru_cache
 
-DEFAULT_ENUMERATION_CAP = 12
-CAP_ENV_VAR = "FREEPROB_MAX_N"
+ENUMERATION_CAP = 12
 
 
 class SizeLimitError(ValueError):
-    """Raised when an enumeration request exceeds the configured cap."""
-
-
-def enumeration_cap() -> int:
-    raw = os.environ.get(CAP_ENV_VAR)
-    if raw is None:
-        return DEFAULT_ENUMERATION_CAP
-    try:
-        cap = int(raw)
-    except ValueError:
-        cap = 0
-    if cap < 1:
-        raise ValueError(f"{CAP_ENV_VAR} must be a positive integer, got {raw!r}")
-    return cap
+    """Raised when an enumeration request exceeds ENUMERATION_CAP."""
 
 
 @dataclass(frozen=True)
@@ -68,14 +53,6 @@ class SetPartition:
                 out[x] = i
         return out
 
-    def to_json(self) -> list[list[int]]:
-        return [list(b) for b in self.blocks]
-
-    @staticmethod
-    def from_json(data) -> "SetPartition":
-        elements = [x for block in data for x in block]
-        return SetPartition.from_blocks(max(elements), data)
-
     def __str__(self) -> str:
         return "".join("(" + ",".join(map(str, b)) + ")" for b in self.blocks)
 
@@ -89,31 +66,22 @@ class BlockClassification:
     singletons: frozenset[int]
 
 
-def singletons_partition(n: int) -> SetPartition:
-    return SetPartition(n, tuple((i,) for i in range(1, n + 1)))
-
-
-def one_block_partition(n: int) -> SetPartition:
-    return SetPartition(n, (tuple(range(1, n + 1)),))
-
-
 def adjacent_pairing(pairs: int) -> SetPartition:
     """The pairing {(1,2),(3,4),...,(2k-1,2k)} on 2k elements."""
     return SetPartition(2 * pairs, tuple((2 * i + 1, 2 * i + 2) for i in range(pairs)))
 
 
-def _check_cap(n: int, cap: int | None) -> int:
-    limit = enumeration_cap() if cap is None else cap
-    if n > limit:
-        raise SizeLimitError(f"n={n} exceeds the enumeration cap {limit}")
-    return limit
+def _check_cap(n: int) -> None:
+    # ENUMERATION_CAP is read at call time, so tests can lower it
+    if n > ENUMERATION_CAP:
+        raise SizeLimitError(f"n={n} exceeds the enumeration cap {ENUMERATION_CAP}")
 
 
-def enumerate_set_partitions(n: int, cap: int | None = None) -> list[SetPartition]:
+def enumerate_set_partitions(n: int) -> list[SetPartition]:
     """All partitions of {1..n} in restricted-growth-string lexicographic order."""
     if n < 1:
         raise ValueError("n must be positive")
-    _check_cap(n, cap)
+    _check_cap(n)
     results: list[SetPartition] = []
     rgs = [0] * n
 
@@ -221,7 +189,7 @@ def _noncrossing(n: int, word=None) -> list[tuple[tuple[tuple[int, ...], ...], t
 @lru_cache(maxsize=None)
 def _nc_table(n: int) -> tuple[tuple[tuple[tuple[int, ...], ...], tuple[bool, ...]], ...]:
     """Cached (blocks, inner_flags) of every non-crossing partition of {1..n}."""
-    _check_cap(n, None)
+    _check_cap(n)
     return tuple(_noncrossing(n))
 
 
@@ -244,7 +212,7 @@ def _pairs_and_singletons(labels: tuple[int, ...]) -> list[tuple[tuple[int, ...]
     return out
 
 
-def enumerate_nc(n: int, *, pairs_and_singletons: bool = False, cap: int | None = None) -> list[SetPartition]:
+def enumerate_nc(n: int, *, pairs_and_singletons: bool = False) -> list[SetPartition]:
     """Non-crossing partitions of {1..n}, optionally only pair/singleton ones.
 
     Both routes generate the partitions directly, without enumerating the
@@ -256,7 +224,7 @@ def enumerate_nc(n: int, *, pairs_and_singletons: bool = False, cap: int | None 
         raise ValueError("n must be positive")
     if pairs_and_singletons:
         return [SetPartition.from_blocks(n, blocks) for blocks in _pairs_and_singletons(tuple(range(1, n + 1)))]
-    _check_cap(n, cap)
+    _check_cap(n)
     return [SetPartition(n, blocks) for blocks, _ in _noncrossing(n)]
 
 
@@ -298,18 +266,6 @@ def join(p: SetPartition, q: SetPartition) -> SetPartition:
     return SetPartition.from_blocks(p.n, groups.values())
 
 
-def meet(p: SetPartition, q: SetPartition) -> SetPartition:
-    """Largest common refinement: nonempty pairwise block intersections."""
-    if p.n != q.n:
-        raise ValueError("size mismatch")
-    owner_q = q.block_map()
-    pieces: dict[tuple[int, int], list[int]] = {}
-    for i, block in enumerate(p.blocks):
-        for x in block:
-            pieces.setdefault((i, owner_q[x]), []).append(x)
-    return SetPartition.from_blocks(p.n, pieces.values())
-
-
 @lru_cache(maxsize=None)
 def stirling2(n: int, k: int) -> int:
     """Stirling number of the second kind via S(n,k) = k S(n-1,k) + S(n-1,k-1)."""
@@ -332,17 +288,3 @@ def falling_factorial(big_n: int, k: int) -> int:
         if result == 0:
             return 0
     return result
-
-
-def coarser_weight(base: SetPartition, big_n: int) -> int:
-    """Sum of N_{|pi|} over all partitions pi coarser than base.
-
-    Partitions coarser than base correspond to partitions of its m blocks, so
-    the sum reduces to sum_k S(m,k) N_k without enumerating anything.
-    """
-    m = base.size
-    return sum(stirling2(m, k) * falling_factorial(big_n, k) for k in range(m + 1))
-
-
-def bell_number(n: int) -> int:
-    return sum(stirling2(n, k) for k in range(n + 1))

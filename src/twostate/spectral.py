@@ -22,9 +22,10 @@ from .cumulants import (
     moments_from_two_state_cumulants,
 )
 from .poly import BivariatePolynomial
-from .rational import format_rationals, parse_rationals
 
 Rationals = tuple[Fraction, ...]
+
+QUADRATURE_NODES = 2048
 
 
 class NotAMeasureError(ValueError):
@@ -76,18 +77,10 @@ class JacobiParams:
 
     def to_json(self) -> dict:
         return {
-            "beta": format_rationals(self.betas),
-            "gamma": format_rationals(self.gammas),
+            "beta": [str(b) for b in self.betas],
+            "gamma": [str(g) for g in self.gammas],
             "terminated": self.terminated,
         }
-
-    @staticmethod
-    def from_json(data: dict) -> "JacobiParams":
-        return JacobiParams(
-            parse_rationals(data["beta"]),
-            parse_rationals(data["gamma"]),
-            bool(data.get("terminated", False)),
-        )
 
 
 def _series_inverse(series: list[Fraction], order: int) -> list[Fraction]:
@@ -298,6 +291,8 @@ def density_eval(measure: Measure, x) -> float:
 
 def exact_moment(measure: Measure, n: int) -> Fraction:
     """The n-th moment as an exact rational, straight from the cumulant engine."""
+    if n < 0:
+        raise ValueError(f"moment index must be nonnegative, got {n}")
     if n == 0:
         return Fraction(1)
     alpha = measure.alpha
@@ -314,15 +309,17 @@ def exact_moment(measure: Measure, n: int) -> Fraction:
     return total
 
 
-def quadrature_moment(measure: Measure, n: int, nodes: int = 2048) -> float:
+def quadrature_moment(measure: Measure, n: int) -> float:
     """Integral of x^n against the measure, atom included.
 
     The substitution x = center + 2 sqrt(t) cos(theta) absorbs the square-root
-    edge factor, leaving a smooth periodic integrand for the midpoint rule.
+    edge factor, leaving a smooth periodic integrand for the midpoint rule on
+    QUADRATURE_NODES nodes.
     """
-    if n > 12:
-        raise ValueError("quadrature_moment supports n <= 12")
+    if not 0 <= n <= 12:
+        raise ValueError(f"quadrature_moment supports 0 <= n <= 12, got {n}")
     alpha, t = float(measure.alpha), float(measure.time)
+    nodes = QUADRATURE_NODES
     theta = (np.arange(nodes) + 0.5) * (math.pi / nodes)
     sin2 = np.sin(theta) ** 2
     if measure.kind == CT_LAW:

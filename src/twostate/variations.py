@@ -58,15 +58,9 @@ def variation_second_moment(family: IncrementFamilySpec, k: int) -> VariationRep
     _check_power(k)
     if family.order < 2 * k:
         raise ValueError("family truncation order too small for 2k")
-    n = family.count
-    same = mixed_moment(family, (1,) * (2 * k), "phi")
-    value = n * same
-    if n >= 2:
-        cross = mixed_moment(family, (1,) * k + (2,) * k, "phi")
-        value += n * (n - 1) * cross
     whole = family.whole_interval.r_phi_psi
     predicted = whole[k - 1] ** 2 + whole[2 * k - 1]
-    return VariationReport(n, k, value, predicted)
+    return VariationReport(family.count, k, _power_sum_moment(family, k, 2), predicted)
 
 
 def psi_variation(family: IncrementFamilySpec, k: int) -> VariationReport:
@@ -187,9 +181,10 @@ def _lemma_shapes(n: int) -> tuple[tuple[tuple[int, int, int, int, int], int], .
 
 def _qv_lemma_sum(family: IncrementFamilySpec, n: int) -> Fraction:
     # Sum over the kept partitions sigma of
-    #   coarser_weight(join(sigma, tau), N) step^|sigma| alpha^singletons
+    #   W(join(sigma, tau)) step^|sigma| alpha^singletons
     #   beta^(inner free pairs) (beta - 1)^(inner tau pairs),
-    # grouped by shape key; the coarser weight of an m-block partition is N^m.
+    # grouped by shape key, where W(p) = sum over pi >= p of N_(|pi|) is the
+    # coarser weight; for an m-block p it is N^m.
     alpha, beta = _brownian_shape(family)
     big_n = family.count
     step = family.total_time / big_n
@@ -262,10 +257,17 @@ def centered_power_moment(family: IncrementFamilySpec, k: int, m: int) -> Fracti
 
 
 def norm_2n_table(family: IncrementFamilySpec, k: int, n_max: int) -> list[float]:
-    """||sum_i X_i^k - c||_{2n} = phi[(...)^{2n}]^{1/2n} for n = 1..n_max."""
+    """||sum_i X_i^k - c||_{2n} = phi[(...)^{2n}]^{1/2n} for n = 1..n_max.
+
+    An even moment can be negative when beta != 1 (beta = -1, say), where
+    no Fock model makes phi a positive state; such a row has no real root
+    and raises ValueError.
+    """
     _check_centered_power(k, 2 * n_max)  # the last row is the largest: fail before the first
     out = []
     for n in range(1, n_max + 1):
         power = centered_power_moment(family, k, 2 * n)
+        if power < 0:
+            raise ValueError(f"phi[(...)^{2 * n}] = {power} is negative at n={n}: no {2 * n}-norm")
         out.append(float(power) ** (1 / (2 * n)))
     return out

@@ -3,6 +3,7 @@ import time
 
 import pytest
 
+from twostate import partitions
 from twostate.cli import main
 from twostate.cumulants import TRANSFORM_ORDER_CAP
 
@@ -23,8 +24,8 @@ class TestMoments:
         assert lines[4] == "4,3,9"
 
     def test_order_past_the_enumeration_cap(self, capsys, monkeypatch):
-        # the transforms run by series, so FREEPROB_MAX_N does not bound them
-        monkeypatch.setenv("FREEPROB_MAX_N", "3")
+        # the transforms run by series, so ENUMERATION_CAP does not bound them
+        monkeypatch.setattr(partitions, "ENUMERATION_CAP", 3)
         code, out = run(capsys, "moments", "--alpha", "1", "--T", "1", "--order", "13")
         assert code == 0
         lines = out.strip().splitlines()
@@ -183,6 +184,7 @@ class TestPlumbing:
             ["moments", "--alpha", "1", "--T", "1", "--order", str(TRANSFORM_ORDER_CAP + 1)],
             ["jacobi", "--alpha", "1", "--t", "1", "--order", str(TRANSFORM_ORDER_CAP + 1)],
             ["norm-table", "--alpha", "1", "--beta", "1", "--T", "1", "--k", "2", "--n-max", "5", "--N", "2"],
+            ["norm-table", "--alpha", "1", "--beta", "-1", "--T", "1", "--N", "2", "--n-max", "2"],
         ],
     )
     def test_malformed_input_exits_2(self, capsys, argv):
@@ -199,15 +201,11 @@ class TestPlumbing:
         assert any("error:" in line for line in captured.err.splitlines())
         assert "Traceback" not in captured.err
 
-    @pytest.mark.parametrize(
-        "raw,message",
-        [("abc", "error: FREEPROB_MAX_N must be a positive integer, got 'abc'"),
-         ("3", "error: n=4 exceeds the enumeration cap 3")],
-    )
-    def test_cap_errors_exit_2(self, capsys, monkeypatch, raw, message):
+    @pytest.mark.parametrize("cap,message", [(3, "error: n=4 exceeds the enumeration cap 3")])
+    def test_cap_errors_exit_2(self, capsys, monkeypatch, cap, message):
         # the k = 2 table needs the mixed moment of a word of length 4, which
         # enumerates partitions; the moment transforms no longer do
-        monkeypatch.setenv("FREEPROB_MAX_N", raw)
+        monkeypatch.setattr(partitions, "ENUMERATION_CAP", cap)
         code = main(["variation-table", "--alpha", "1", "--beta", "1", "--T", "1", "--k", "2", "--N-list", "2"])
         captured = capsys.readouterr()
         assert code == 2

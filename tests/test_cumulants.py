@@ -274,12 +274,12 @@ class TestEnumerationCap:
     def test_checked_before_any_table_is_built(self, name, monkeypatch):
         built = []
         monkeypatch.setattr(cumulants, "_noncrossing", lambda n, word: built.append(n) or [])
-        monkeypatch.setenv("FREEPROB_MAX_N", "3")
+        monkeypatch.setattr(partitions, "ENUMERATION_CAP", 3)
         with pytest.raises(SizeLimitError, match="^n=4 exceeds the enumeration cap 3$"):
             self.CALLS[name]()
         assert built == []
         # the spy is on the path: under the cap it is called
-        monkeypatch.setenv("FREEPROB_MAX_N", "4")
+        monkeypatch.setattr(partitions, "ENUMERATION_CAP", 4)
         self.CALLS[name]()
         assert built == [4]
 
@@ -310,7 +310,7 @@ class TestEnumerationCap:
         prepare, transform = self.TRANSFORMS[name]
         args, expected = prepare()
         monkeypatch.setattr(cumulants, "_nc_table", lambda n: pytest.fail("a transform enumerated partitions"))
-        monkeypatch.setenv("FREEPROB_MAX_N", "3")
+        monkeypatch.setattr(partitions, "ENUMERATION_CAP", 3)
         got = transform(*args)
         assert len(got) == ORDER
         assert got[:ORACLE_ORDER] == expected

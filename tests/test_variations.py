@@ -302,6 +302,13 @@ class TestNormTable:
         with pytest.raises(ValueError):
             centered_power_moment(family, 3, 4)
 
+    def test_negative_even_moment_rejected(self):
+        # beta = -1: phi[(sum_i X_i^2 - T)^2] = -1/4 at N = 2, which has no square root
+        family = brownian_family(F(1), F(1), 2, beta=-1)
+        assert centered_power_moment(family, 2, 2) == F(-1, 4)
+        with pytest.raises(ValueError, match="n=1"):
+            norm_2n_table(family, 2, 2)
+
     def test_cubic_power_sums_against_fock(self):
         family = brownian_family(F(1), F(1), 2)
         assert centered_power_moment(family, 3, 2) == fock_power_moment(F(1), F(1), 2, 3, 2, 0)
