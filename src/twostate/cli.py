@@ -16,7 +16,6 @@ from fractions import Fraction
 from . import fock, generator, spectral, variations
 from .cumulants import (
     TRANSFORM_ORDER_CAP,
-    _free_sum,
     _peel,
     _two_state_sum,
     brownian_cumulants,
@@ -27,7 +26,7 @@ from .cumulants import (
     moments_from_two_state_cumulants,
     two_state_cumulants_from_moments,
 )
-from .partitions import _check_cap, enumerate_nc, enumerate_set_partitions
+from .partitions import _check_cap, _nc_table, enumerate_nc, enumerate_set_partitions
 from .rational import parse_rational
 
 MEASURE_NAMES = {"nu": spectral.semicircle_law, "mu": spectral.free_poisson_law, "ct": spectral.ct_law}
@@ -51,15 +50,24 @@ def _check_count(name: str, value: int, minimum: int = 1, maximum: int | None = 
         raise ValueError(f"{name} must be at most {maximum}, got {value}")
 
 
+def _emit_moment_table(phi, psi, path: str | None) -> None:
+    rows = (f"{n},{phi_n},{psi_n}" for n, (phi_n, psi_n) in enumerate(zip(phi, psi), start=1))
+    _emit(["n,phi_moment,psi_moment", *rows], path)
+
+
+def _emit_tally(failure_lines: list[str], checked: int, path: str | None) -> int:
+    # one line per failed case, then the tally; any failure exits 1
+    failures = len(failure_lines)
+    _emit([*failure_lines, json.dumps({"checked": checked, "failures": failures}, sort_keys=True)], path)
+    return 0 if failures == 0 else 1
+
+
 def cmd_moments(args) -> int:
     _check_count("order", args.order, maximum=TRANSFORM_ORDER_CAP)
     outer, inner = brownian_cumulants(args.alpha, args.T, args.order, args.beta)
     phi = moments_from_two_state_cumulants(outer, inner, args.order)
     psi = moments_from_free_cumulants(inner, args.order)
-    lines = ["n,phi_moment,psi_moment"]
-    for n in range(1, args.order + 1):
-        lines.append(f"{n},{phi[n-1]},{psi[n-1]}")
-    _emit(lines, args.output)
+    _emit_moment_table(phi, psi, args.output)
     return 0
 
 
@@ -106,10 +114,7 @@ def cmd_fock_moments(args) -> int:
     grid = fock.IntervalGrid(args.T, args.N)
     phi = fock.phi_moment_table(grid, args.alpha, args.degree)
     psi = fock.psi_moment_table(grid, args.alpha, args.degree)
-    lines = ["n,phi_moment,psi_moment"]
-    for n in range(1, args.degree + 1):
-        lines.append(f"{n},{phi[n-1]},{psi[n-1]}")
-    _emit(lines, args.output)
+    _emit_moment_table(phi, psi, args.output)
     return 0
 
 
@@ -122,18 +127,16 @@ def _centered_monomial(grid, alpha, cell: int, degree: int) -> fock.OperatorExpr
 def cmd_freeness_check(args) -> int:
     _check_count("max-len", args.max_len)
     grid = fock.IntervalGrid(args.T, args.N)
-    failures = 0
     checked = 0
     lines = []
 
     def walk(prefix: list[tuple[int, int]]) -> None:
-        nonlocal failures, checked
+        nonlocal checked
         if prefix:
             factors = [_centered_monomial(grid, args.alpha, c, d) for c, d in prefix]
             report = fock.freeness_check(grid, args.alpha, factors)
             checked += 1
             if not report.ok:
-                failures += 1
                 lines.append(json.dumps({"word": prefix, "ok": False}, sort_keys=True))
         if len(prefix) == args.max_len:
             return
@@ -144,16 +147,13 @@ def cmd_freeness_check(args) -> int:
                 walk(prefix + [(cell, degree)])
 
     walk([])
-    lines.append(json.dumps({"checked": checked, "failures": failures}, sort_keys=True))
-    _emit(lines, args.output)
-    return 0 if failures == 0 else 1
+    return _emit_tally(lines, checked, args.output)
 
 
 def cmd_martingale_check(args) -> int:
     _check_count("n-max", args.n_max, 0)
     _check_count("N", args.N, 2)
     grid = fock.IntervalGrid(args.T, args.N)
-    failures = 0
     checked = 0
     lines = []
     for t_cells in range(1, grid.cells):
@@ -168,16 +168,13 @@ def cmd_martingale_check(args) -> int:
                     lhs, rhs = fock.martingale_check(grid, args.alpha, n, t_cells, s_cells, past)
                     checked += 1
                     if lhs != rhs:
-                        failures += 1
                         lines.append(
                             json.dumps(
                                 {"n": n, "t_cells": t_cells, "s_cells": s_cells, "ok": False},
                                 sort_keys=True,
                             )
                         )
-    lines.append(json.dumps({"checked": checked, "failures": failures}, sort_keys=True))
-    _emit(lines, args.output)
-    return 0 if failures == 0 else 1
+    return _emit_tally(lines, checked, args.output)
 
 
 def cmd_variation_table(args) -> int:
@@ -246,11 +243,12 @@ def _selfcheck_items(alpha: Fraction, t: Fraction, big_n: int, order: int):
     def transform_roundtrips():
         # the series transforms against the partition sums, their oracle
         moments = moments_from_free_cumulants(inner, order)
-        assert moments == tuple(_free_sum(j, inner) for j in range(1, order + 1))
-        assert free_cumulants_from_moments(moments) == _peel(moments, _free_sum) == inner
+        assert moments == tuple(_two_state_sum(_nc_table(j), inner, inner) for j in range(1, order + 1))
+        oracle = _peel(moments, lambda j, c: _two_state_sum(_nc_table(j), c, c))
+        assert free_cumulants_from_moments(moments) == oracle == inner
         phi_m = moments_from_two_state_cumulants(outer, inner, order)
-        assert phi_m == tuple(_two_state_sum(j, outer, inner) for j in range(1, order + 1))
-        oracle = _peel(phi_m, lambda j, outer_c: _two_state_sum(j, outer_c, inner))
+        assert phi_m == tuple(_two_state_sum(_nc_table(j), outer, inner) for j in range(1, order + 1))
+        oracle = _peel(phi_m, lambda j, outer_c: _two_state_sum(_nc_table(j), outer_c, inner))
         assert two_state_cumulants_from_moments(phi_m, inner) == oracle == outer
 
     def cross_representation():
@@ -341,6 +339,7 @@ def _selfcheck_items(alpha: Fraction, t: Fraction, big_n: int, order: int):
 def cmd_selfcheck(args) -> int:
     _check_count("order", args.order, 4)
     _check_cap(args.order)  # the transforms' partition-sum oracle enumerates
+    _check_count("N", args.N)
     items = _selfcheck_items(args.alpha, args.T, args.N, args.order)
     lines = []
     passed = 0
@@ -446,7 +445,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         code = args.fn(args)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OverflowError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return code

@@ -9,8 +9,8 @@ blocks the free one. Everything is exact rational arithmetic.
 The public transforms solve the generating-series form of these sums order by
 order, M_psi = 1 + sum_k r_k z^k M_psi^k and
 M_phi = 1 + sum_k R_k z^k M_psi^(k-1) M_phi, split by the block that holds 1.
-The partition sums themselves (_free_sum, _two_state_sum, _peel) are kept as
-the transforms' independent oracle for the tests and `selfcheck`.
+The partition sums themselves (_two_state_sum, _peel) are kept as the
+transforms' independent oracle for the tests and `selfcheck`.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
 
-from .partitions import _check_cap, _nc_table, _noncrossing
+from .partitions import _check_cap, _noncrossing
 
 Rationals = tuple[Fraction, ...]
 
@@ -29,23 +29,12 @@ def as_rationals(values) -> Rationals:
     return tuple(Fraction(v) for v in values)
 
 
-def _free_sum(j: int, c) -> Fraction:
-    # Sum over non-crossing partitions of {1..j} of the product of c[|block|-1].
+def _two_state_sum(partitions, outer, inner) -> Fraction:
+    # Sum over the given (blocks, inner_flags) of the product over blocks of
+    # outer[|block|-1] for an outer block and inner[|block|-1] for an inner
+    # one. With outer = inner the flags do not matter: that is the free sum.
     total = Fraction(0)
-    for blocks, _ in _nc_table(j):
-        term = Fraction(1)
-        for block in blocks:
-            term *= c[len(block) - 1]
-            if term == 0:
-                break
-        total += term
-    return total
-
-
-def _two_state_sum(j: int, outer, inner) -> Fraction:
-    # As _free_sum, but outer blocks carry outer[|block|-1], inner blocks inner[...].
-    total = Fraction(0)
-    for blocks, inner_flags in _nc_table(j):
+    for blocks, inner_flags in partitions:
         term = Fraction(1)
         for block, is_inner in zip(blocks, inner_flags):
             term *= inner[len(block) - 1] if is_inner else outer[len(block) - 1]
@@ -296,16 +285,5 @@ def mixed_moment(family: IncrementFamilySpec, word, state: str) -> Fraction:
     if len(w) > spec.order:
         raise ValueError("word longer than the truncation order")
     _check_cap(len(w))
-    use_outer = state == "phi"
-    total = Fraction(0)
-    for blocks, inner_flags in _noncrossing(len(w), w):
-        term = Fraction(1)
-        for block, inner in zip(blocks, inner_flags):
-            if use_outer and not inner:
-                term *= spec.r_phi_psi[len(block) - 1]
-            else:
-                term *= spec.r_psi[len(block) - 1]
-            if term == 0:
-                break
-        total += term
-    return total
+    outer = spec.r_phi_psi if state == "phi" else spec.r_psi
+    return _two_state_sum(_noncrossing(len(w), w), outer, spec.r_psi)

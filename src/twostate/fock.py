@@ -522,15 +522,9 @@ def kernel_shift_vacuum_pairing(alpha, t, s_cells: int, cells: int, depth: int) 
         raise ValueError("need 1 <= s_cells < cells")
     grid = IntervalGrid(Fraction(t), cells)
     ratio = -1 / (a * Fraction(t))
-    coef: dict[Word, Fraction] = {}
-    value = Fraction(1)
-    words: list[Word] = [()]
+    eta = FockVector(grid)
     for n in range(depth + 1):
-        for w in words:
-            coef[w] = coef.get(w, Fraction(0)) + value
-        value *= ratio
-        words = [w + (c,) for w in words for c in range(1, cells + 1)]
-    eta = FockVector(grid, coef)
+        eta = eta + elementary_tensor(grid, [((1, cells), n)]).scaled(ratio**n)
     s = Fraction(t) * s_cells / cells
     shifted = OperatorExpr.interval(grid, 1, s_cells) + OperatorExpr.identity(grid).scaled(s / (a * Fraction(t)))
     return shifted.apply(eta, alpha).vacuum_coefficient()

@@ -277,14 +277,3 @@ def stirling2(n: int, k: int) -> int:
         return 0
     return k * stirling2(n - 1, k) + stirling2(n - 1, k - 1)
 
-
-def falling_factorial(big_n: int, k: int) -> int:
-    """N (N-1) ... (N-k+1); zero when k exceeds N."""
-    if k < 0:
-        raise ValueError("k must be nonnegative")
-    result = 1
-    for i in range(k):
-        result *= big_n - i
-        if result == 0:
-            return 0
-    return result

@@ -3,8 +3,7 @@
 Moment sequences and Jacobi parameters are exact rationals; densities and
 quadrature are the only floating-point surface in the package. A moment
 sequence m_1..m_n converts to ceil(n/2) beta and floor(n/2) gamma coefficients
-by stripping one continued-fraction level at a time, and back by a
-Motzkin-path transfer recursion.
+by Chebyshev's algorithm, and back by a Motzkin-path transfer recursion.
 """
 
 from __future__ import annotations
@@ -29,7 +28,7 @@ QUADRATURE_NODES = 2048
 
 
 class NotAMeasureError(ValueError):
-    """A stripping step produced a negative gamma: no positive measure fits."""
+    """Chebyshev's algorithm produced a negative gamma: no positive measure fits."""
 
     def __init__(self, index: int):
         super().__init__(f"gamma_{index} is negative: the moments are not those of a measure")
@@ -83,48 +82,38 @@ class JacobiParams:
         }
 
 
-def _series_inverse(series: list[Fraction], order: int) -> list[Fraction]:
-    # Reciprocal of a power series with constant term 1, to the given order.
-    assert series[0] == 1
-    inv = [Fraction(1)] + [Fraction(0)] * order
-    for k in range(1, order + 1):
-        acc = Fraction(0)
-        for j in range(1, min(k, len(series) - 1) + 1):
-            acc += series[j] * inv[k - j]
-        inv[k] = -acc
-    return inv
-
-
 def moments_to_jacobi(moments) -> JacobiParams:
     """Continued-fraction coefficients of the distribution with these moments.
 
-    Each stripping level reads beta from the linear and gamma from the
-    quadratic coefficient of the reciprocal series, then recurses on the
-    stripped series. Stops early at gamma = 0; negative gamma is rejected.
+    Chebyshev's algorithm: row k holds sigma_k(l) = L(P_k x^l), the moment
+    functional L applied to the monic orthogonal polynomial P_k times x^l.
+    The three-term recursion for P_(k+1) gives each row from the two before
+    it, and beta_k and gamma_(k+1) are ratios of entries near the diagonal.
+    Stops early at gamma = 0; negative gamma is rejected.
     """
     m = as_rationals(moments)
-    series = [Fraction(1), *m]
+    n = len(m)
+    # sigma_(k-1) and sigma_k indexed by l; row k is read at l = k..n-k.
+    # beta_k needs m_(2k+1) and gamma_(k+1) needs m_(2k+2).
+    before, row = [Fraction(0)] * (n + 1), [Fraction(1), *m]
     betas: list[Fraction] = []
     gammas: list[Fraction] = []
-    order = len(m)
-    while order >= 1:
-        inv = _series_inverse(series, order - 1)
-        shifted = series[1:]
-        quotient = [
-            sum((shifted[j] * inv[k - j] for j in range(k + 1)), Fraction(0))
-            for k in range(order)
-        ]
-        betas.append(quotient[0])
-        if order < 2:
+    gamma = Fraction(0)  # gamma_k, with gamma_0 = 0 since sigma_(-1) = 0
+    for k in range((n + 1) // 2):
+        beta = row[k + 1] / row[k] - (before[k] / before[k - 1] if k else 0)
+        betas.append(beta)
+        if 2 * k + 2 > n:
             break
-        gamma = quotient[1]
+        following = [Fraction(0)] * (n + 1)
+        for l in range(k + 1, n - k):
+            following[l] = row[l + 1] - beta * row[l] - gamma * before[l]
+        gamma = following[k + 1] / row[k]
         if gamma < 0:
-            raise NotAMeasureError(len(gammas) + 1)
+            raise NotAMeasureError(k + 1)
         gammas.append(gamma)
         if gamma == 0:
             return JacobiParams(tuple(betas), tuple(gammas), terminated=True)
-        series = [Fraction(1)] + [quotient[k + 1] / gamma for k in range(1, order - 1)]
-        order -= 2
+        before, row = row, following
     return JacobiParams(tuple(betas), tuple(gammas))
 
 
@@ -178,8 +167,10 @@ def shift_moments_by_series(moments, t, n: int) -> Rationals:
     t = Fraction(t)
     m = as_rationals(moments)
     series = [Fraction(1), *m] + [Fraction(0)] * max(0, n - len(m) - 1)
-    denom = [Fraction(1), Fraction(0)] + [-t * series[k] for k in range(n - 1)]
-    out = _series_inverse(denom, n)
+    # M_out = 1 + t w^2 M_in M_out, so out_k = t sum_(j<=k-2) m_j out_(k-2-j)
+    out = [Fraction(1), Fraction(0)]
+    for k in range(2, n + 1):
+        out.append(t * sum((series[j] * out[k - 2 - j] for j in range(k - 1)), Fraction(0)))
     return tuple(out[1 : n + 1])
 
 

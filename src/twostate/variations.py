@@ -28,7 +28,7 @@ from functools import lru_cache
 
 from .cumulants import IncrementFamilySpec, mixed_moment, moments_from_free_cumulants
 from .fock import FockVector, IntervalGrid, OperatorExpr, state_psi_t
-from .partitions import enumerate_set_partitions, falling_factorial
+from .partitions import enumerate_set_partitions
 
 BRUTEFORCE_WORD_CAP = 8
 LEMMA_POWER_CAP = 8
@@ -96,7 +96,7 @@ def _power_sum_moment(family: IncrementFamilySpec, k: int, m: int) -> Fraction:
         return Fraction(1)
     total = Fraction(0)
     for pattern in enumerate_set_partitions(m):
-        weight = falling_factorial(family.count, pattern.size)
+        weight = math.perm(family.count, pattern.size)
         if weight == 0:
             continue
         labels = pattern.block_map()

@@ -185,6 +185,11 @@ class TestPlumbing:
             ["jacobi", "--alpha", "1", "--t", "1", "--order", str(TRANSFORM_ORDER_CAP + 1)],
             ["norm-table", "--alpha", "1", "--beta", "1", "--T", "1", "--k", "2", "--n-max", "5", "--N", "2"],
             ["norm-table", "--alpha", "1", "--beta", "-1", "--T", "1", "--N", "2", "--n-max", "2"],
+            ["density", "--measure", "nu", "--alpha", "1", "--t", "1e400", "--samples", "2"],
+            ["variation-table", "--alpha", "1", "--beta", "1", "--T", "1e400", "--k", "1", "--N-list", "1"],
+            ["norm-table", "--alpha", "1", "--beta", "1", "--T", "1e400", "--k", "1", "--n-max", "1", "--N", "2"],
+            ["selfcheck", "--alpha", "1e400", "--T", "1", "--N", "2", "--order", "4"],
+            ["selfcheck", "--alpha", "1", "--T", "1", "--N", "0", "--order", "12"],
         ],
     )
     def test_malformed_input_exits_2(self, capsys, argv):

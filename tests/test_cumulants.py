@@ -241,15 +241,19 @@ class TestFamilySpec:
 
 
 def _oracle_two_state_moments(outer, inner, n):
-    return tuple(cumulants._two_state_sum(j, outer, inner) for j in range(1, n + 1))
+    return tuple(cumulants._two_state_sum(partitions._nc_table(j), outer, inner) for j in range(1, n + 1))
 
 
 def _oracle_free_moments(c, n):
-    return tuple(cumulants._free_sum(j, c) for j in range(1, n + 1))
+    return _oracle_two_state_moments(c, c, n)
 
 
 def _oracle_two_state_cumulants(m, inner):
-    return cumulants._peel(m, lambda j, outer: cumulants._two_state_sum(j, outer, inner))
+    return cumulants._peel(m, lambda j, outer: cumulants._two_state_sum(partitions._nc_table(j), outer, inner))
+
+
+def _oracle_free_cumulants(m):
+    return cumulants._peel(m, lambda j, c: cumulants._two_state_sum(partitions._nc_table(j), c, c))
 
 
 # One past the default enumeration cap. The oracle is compared on the first
@@ -309,7 +313,7 @@ class TestEnumerationCap:
     def test_transforms_have_no_enumeration_cap(self, name, monkeypatch):
         prepare, transform = self.TRANSFORMS[name]
         args, expected = prepare()
-        monkeypatch.setattr(cumulants, "_nc_table", lambda n: pytest.fail("a transform enumerated partitions"))
+        monkeypatch.setattr(cumulants, "_noncrossing", lambda n, word=None: pytest.fail("a transform enumerated partitions"))
         monkeypatch.setattr(partitions, "ENUMERATION_CAP", 3)
         got = transform(*args)
         assert len(got) == ORDER
@@ -352,7 +356,7 @@ class TestSeriesMatchesPartitionOracle:
     @given(dense_sequences(1))
     def test_free_cumulants(self, data):
         (m,) = data
-        assert free_cumulants_from_moments(m) == cumulants._peel(m, cumulants._free_sum)
+        assert free_cumulants_from_moments(m) == _oracle_free_cumulants(m)
 
     @settings(max_examples=25, deadline=None)
     @given(dense_sequences(2))

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 
 import pytest
@@ -11,7 +12,6 @@ from twostate.partitions import (
     classify_blocks,
     enumerate_nc,
     enumerate_set_partitions,
-    falling_factorial,
     is_noncrossing,
     join,
     refines,
@@ -232,17 +232,12 @@ class TestCounting:
     def test_stirling_sums_to_bell(self, n):
         assert sum(stirling2(n, k) for k in range(n + 1)) == len(enumerate_set_partitions(n))
 
-    def test_falling_factorial(self):
-        assert falling_factorial(3, 5) == 0
-        assert falling_factorial(5, 3) == 60
-        assert falling_factorial(7, 0) == 1
-
     # The lemma sum weights a partition sigma by N^|join(sigma, tau)|: the sum
     # over pi >= base of N_(|pi|) counts all label assignments constant on
     # base blocks, which is N^(number of blocks).
     @staticmethod
     def coarser_weight(base, big_n):
-        return sum(falling_factorial(big_n, p.size) for p in enumerate_set_partitions(base.n) if refines(base, p))
+        return sum(math.perm(big_n, p.size) for p in enumerate_set_partitions(base.n) if refines(base, p))
 
     def test_coarser_weight_single_block(self):
         assert self.coarser_weight(part((1, 2)), 4) == 4

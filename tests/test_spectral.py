@@ -3,6 +3,8 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from twostate.cumulants import (
     moments_from_free_cumulants,
@@ -85,6 +87,62 @@ class TestStripping:
     def test_roundtrip_moments(self):
         m = bm_moments(1, F(1, 2), 8, "phi")
         assert jacobi_to_moments(moments_to_jacobi(m), 8) == m
+
+
+def _hankel_determinant(moments, k):
+    # det (m_(i+j)) for i, j = 0..k with m_0 = 1, by exact elimination
+    full = (F(1), *moments)
+    rows = [[full[i + j] for j in range(k + 1)] for i in range(k + 1)]
+    det = F(1)
+    for col in range(k + 1):
+        pivot = next((r for r in range(col, k + 1) if rows[r][col]), None)
+        if pivot is None:
+            return F(0)
+        if pivot != col:
+            rows[col], rows[pivot] = rows[pivot], rows[col]
+            det = -det
+        det *= rows[col][col]
+        for r in range(col + 1, k + 1):
+            factor = rows[r][col] / rows[col][col]
+            for c in range(col, k + 1):
+                rows[r][c] -= factor * rows[col][c]
+    return det
+
+
+small = st.fractions(-4, 4, max_denominator=9)
+gamma_or_zero = st.one_of(st.just(F(0)), st.fractions(F(1, 9), 4, max_denominator=9))
+
+
+class TestJacobiProperties:
+    @settings(max_examples=150, deadline=None)
+    @given(n=st.integers(0, 12), data=st.data())
+    def test_roundtrip_from_params(self, n, data):
+        depth = n // 2 + 1
+        betas = tuple(data.draw(st.lists(small, min_size=depth, max_size=depth)))
+        gammas = tuple(data.draw(st.lists(gamma_or_zero, min_size=depth, max_size=depth)))
+        jac = moments_to_jacobi(jacobi_to_moments(JacobiParams(betas, gammas), n))
+        zero = next((k for k in range(1, n // 2 + 1) if gammas[k - 1] == 0), None)
+        if zero is None:
+            assert (jac.betas, jac.gammas, jac.terminated) == (betas[:(n + 1) // 2], gammas[:n // 2], False)
+        else:
+            assert (jac.betas, jac.gammas, jac.terminated) == (betas[:zero], gammas[:zero], True)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(small, max_size=12).map(tuple))
+    def test_moment_lists(self, m):
+        # gamma_k = D_k D_(k-2) / D_(k-1)^2 for the Hankel determinants D_k
+        # (D_(-1) = D_0 = 1), so the first k with D_k <= 0 decides the outcome:
+        # a negative D_k rejects at index k, a zero one terminates there.
+        first = next((k for k in range(1, len(m) // 2 + 1) if _hankel_determinant(m, k) <= 0), None)
+        if first is not None and _hankel_determinant(m, first) < 0:
+            with pytest.raises(NotAMeasureError) as info:
+                moments_to_jacobi(m)
+            assert info.value.index == first
+            return
+        jac = moments_to_jacobi(m)
+        assert jac.terminated == (first is not None)
+        length = len(m) if first is None else 2 * first
+        assert jacobi_to_moments(jac, length) == m[:length]
 
 
 class TestJacobiMoments:
