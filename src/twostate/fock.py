@@ -7,14 +7,15 @@ the identity, and annihilation against the first letter. The single deliberate
 asymmetry: on the vacuum the operator only creates. No truncation happens
 anywhere, so every state evaluation below is exact.
 
-The action runs on Python int numerators over one common denominator per
-vector; a Fraction is formed only where a vector or a vacuum coefficient is
-read out. The product and martingale checks never expand an operator product:
-they apply its factors to the vector from right to left.
+Vectors are stored as int numerators over one common denominator, and the
+action runs on them; Fractions appear only at read-out (`FockVector.coef` is
+the reduced one). The product and martingale checks never expand an operator
+product: they apply its factors to the vector from right to left.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -43,41 +44,46 @@ class IntervalGrid:
 
 
 class FockVector:
-    """Finite map from cell words to rational coefficients over a fixed grid."""
+    """Finite map from cell words to rationals: nonzero numerators `ints` over `den`."""
 
-    __slots__ = ("grid", "coef")
+    __slots__ = ("grid", "ints", "den")
 
     def __init__(self, grid: IntervalGrid, coef: dict[Word, Fraction] | None = None):
+        coef = {w: Fraction(c) for w, c in (coef or {}).items() if c}
         self.grid = grid
-        self.coef = {w: Fraction(c) for w, c in (coef or {}).items() if c}
+        self.den = math.lcm(*(c.denominator for c in coef.values()))
+        self.ints = {w: c.numerator * (self.den // c.denominator) for w, c in coef.items()}
 
     @staticmethod
     def _from_ints(grid: IntervalGrid, ints: dict[Word, int], den: int) -> "FockVector":
-        # internal: the vector ints / den, read out as reduced Fractions
+        # internal: the vector ints / den, zero numerators dropped
         v = FockVector.__new__(FockVector)
         v.grid = grid
-        v.coef = {w: Fraction(n, den) for w, n in ints.items() if n}
+        v.ints = {w: n for w, n in ints.items() if n}
+        v.den = den
         return v
 
     @staticmethod
     def vacuum(grid: IntervalGrid) -> "FockVector":
-        return FockVector(grid, {(): Fraction(1)})
+        return FockVector._from_ints(grid, {(): 1}, 1)
+
+    @property
+    def coef(self) -> dict[Word, Fraction]:
+        return {w: Fraction(n, self.den) for w, n in self.ints.items()}
 
     def vacuum_coefficient(self) -> Fraction:
-        return self.coef.get((), Fraction(0))
+        return Fraction(self.ints.get((), 0), self.den)
 
     def inner(self, other: "FockVector") -> Fraction:
         """<v, w> = sum over common words of coef*coef*(cell length)^length."""
         if self.grid != other.grid:
             raise ValueError("grid mismatch")
-        ell = self.grid.cell_length
-        small, large = (self.coef, other.coef) if len(self.coef) <= len(other.coef) else (other.coef, self.coef)
-        total = Fraction(0)
-        for w, c in small.items():
-            d = large.get(w)
-            if d:
-                total += c * d * ell ** len(w)
-        return total
+        small, large = (self.ints, other.ints) if len(self.ints) <= len(other.ints) else (other.ints, self.ints)
+        # every ell^len = p^len / q^len brought over q^top
+        p, q = self.grid.cell_length.numerator, self.grid.cell_length.denominator
+        top = max(map(len, small), default=0)
+        total = sum(n * large[w] * p ** len(w) * q ** (top - len(w)) for w, n in small.items() if w in large)
+        return Fraction(total, q**top * self.den * other.den)
 
     def norm_squared(self) -> Fraction:
         return self.inner(self)
@@ -85,28 +91,22 @@ class FockVector:
     def __add__(self, other: "FockVector") -> "FockVector":
         if self.grid != other.grid:
             raise ValueError("grid mismatch")
-        out = dict(self.coef)
-        for w, c in other.coef.items():
-            out[w] = out.get(w, Fraction(0)) + c
-        return FockVector(self.grid, out)
+        out = dict(self.ints)
+        den = _accumulate(out, self.den, 1, other.ints, other.den)
+        return FockVector._from_ints(self.grid, out, den)
 
     def __sub__(self, other: "FockVector") -> "FockVector":
         return self + other.scaled(-1)
 
     def scaled(self, factor) -> "FockVector":
         f = Fraction(factor)
-        return FockVector(self.grid, {w: c * f for w, c in self.coef.items()})
+        return FockVector._from_ints(self.grid, {w: n * f.numerator for w, n in self.ints.items()}, self.den * f.denominator)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, FockVector):
-            return self.grid == other.grid and self.coef == other.coef
+            return (self.grid == other.grid and self.ints.keys() == other.ints.keys()
+                    and all(n * other.den == other.ints[w] * self.den for w, n in self.ints.items()))
         return NotImplemented
-
-
-def _to_ints(coef: dict[Word, Fraction]) -> tuple[dict[Word, int], int]:
-    # integer numerators over one common denominator
-    den = math.lcm(*(c.denominator for c in coef.values()))
-    return {w: c.numerator * (den // c.denominator) for w, c in coef.items()}, den
 
 
 def _act(grid: IntervalGrid, weights: dict[int, Fraction], alpha, ints: dict[Word, int], den: int, budget: int | None = None) -> tuple[dict[Word, int], int]:
@@ -136,7 +136,7 @@ def _act(grid: IntervalGrid, weights: dict[int, Fraction], alpha, ints: dict[Wor
     return out, den * scale
 
 
-def _accumulate(acc: dict[Word, int], acc_den: int, factor: Fraction, ints: dict[Word, int], den: int) -> int:
+def _accumulate(acc: dict[Word, int], acc_den: int, factor: Fraction | int, ints: dict[Word, int], den: int) -> int:
     # acc / acc_den += factor * ints / den in place; returns the new denominator
     new_den = math.lcm(acc_den, den * factor.denominator)
     if new_den != acc_den:
@@ -154,11 +154,7 @@ def apply_increment(grid: IntervalGrid, i: int, alpha, v: FockVector) -> FockVec
     On the vacuum only the creation term fires; that branch is what pushes the
     first Jacobi beta of the primary law to zero.
     """
-    if not 1 <= i <= grid.cells:
-        raise ValueError(f"cell index {i} out of range 1..{grid.cells}")
-    if v.grid != grid:
-        raise ValueError("grid mismatch")
-    return FockVector._from_ints(grid, *_act(grid, {i: 1}, alpha, *_to_ints(v.coef)))
+    return OperatorExpr.increment(grid, i).apply(v, alpha)
 
 
 class OperatorExpr:
@@ -267,7 +263,7 @@ class OperatorExpr:
         bad = [i for i in self.support_cells() if not 1 <= i <= self.grid.cells]
         if bad:
             raise ValueError(f"cell index {min(bad)} out of range 1..{self.grid.cells}")
-        ints, den = _to_ints(v.coef)
+        ints, den = v.ints, v.den
         singles = {w[0]: c for w, c in self.terms.items() if len(w) == 1}
         out, out_den = _act(self.grid, singles, alpha, ints, den)
         for w, c in self.terms.items():
@@ -301,7 +297,7 @@ def _iterated_whole_interval_moments(grid: IntervalGrid, alpha, degree: int, see
     # degree - step can never annihilate back to the vacuum in time and are
     # never formed, which keeps the live vector small at any grid size.
     whole = {i: 1 for i in range(1, grid.cells + 1)}
-    ints, den = _to_ints(seed.coef)
+    ints, den = seed.ints, seed.den
     out = []
     for step in range(1, degree + 1):
         ints, den = _act(grid, whole, alpha, ints, den, degree - step)
@@ -389,10 +385,8 @@ def elementary_tensor(grid: IntervalGrid, groups) -> FockVector:
     """chi_{I1}^{k1} tensor ... tensor chi_{In}^{kn} expanded in cell words."""
     words: list[Word] = [()]
     for (lo, hi), degree in groups:
-        cells = range(lo, hi + 1)
-        for _ in range(degree):
-            words = [w + (c,) for w in words for c in cells]
-    return FockVector(grid, {w: Fraction(1) for w in words})
+        words = [w + x for w in words for x in itertools.product(range(lo, hi + 1), repeat=max(degree, 0))]
+    return FockVector._from_ints(grid, dict.fromkeys(words, 1), 1)
 
 
 @dataclass(frozen=True)
@@ -409,10 +403,7 @@ class FreenessReport:
 
     @property
     def phi_factorizes(self) -> bool:
-        product = Fraction(1)
-        for value in self.phi_factors:
-            product *= value
-        return self.phi_of_product == product
+        return self.phi_of_product == math.prod(self.phi_factors)
 
     @property
     def ok(self) -> bool:
@@ -447,17 +438,18 @@ def freeness_check(grid: IntervalGrid, alpha, factors) -> FreenessReport:
     )
 
 
-def _check_past_support(expr: OperatorExpr, cells: int) -> None:
-    if any(i > cells for i in expr.support_cells()):
-        raise ValueError(f"operator touches increments at or beyond cell {cells}")
+def _past_adjoint(grid: IntervalGrid, t_cells: int, s_cells: int, past: OperatorExpr) -> OperatorExpr:
+    # B* for a past B: grid times t < s, and B supported before t
+    if not 1 <= t_cells < s_cells <= grid.cells:
+        raise ValueError("need grid times t < s inside the grid")
+    if any(i > t_cells for i in past.support_cells()):
+        raise ValueError(f"operator touches increments at or beyond cell {t_cells}")
+    return past.adjoint()
 
 
 def martingale_check(grid: IntervalGrid, alpha, degree: int, t_cells: int, s_cells: int, past: OperatorExpr) -> tuple[Fraction, Fraction]:
     """(phi[B* Q_n(X(s), s)], phi[B* Q_n(X(t), t)]) for B supported before t."""
-    if not 1 <= t_cells < s_cells <= grid.cells:
-        raise ValueError("need grid times t < s inside the grid")
-    _check_past_support(past, t_cells)
-    b_star = past.adjoint()
+    b_star = _past_adjoint(grid, t_cells, s_cells, past)
     vacuum = FockVector.vacuum(grid)
     q_s, q_t = (_orthogonal(grid, 1, cells, degree, alpha, "q", vacuum, lambda x, u: x.apply(u, alpha))
                 for cells in (s_cells, t_cells))
@@ -472,10 +464,7 @@ def cond_exp_obstruction(grid: IntervalGrid, alpha, t_cells: int, s_cells: int, 
     E[X(s)] X(t) = X(t)^2: the obstruction to a phi-preserving conditional
     expectation.
     """
-    if not 1 <= t_cells < s_cells <= grid.cells:
-        raise ValueError("need grid times t < s inside the grid")
-    _check_past_support(past, t_cells)
-    b_star = past.adjoint()
+    b_star = _past_adjoint(grid, t_cells, s_cells, past)
     x_s = OperatorExpr.interval(grid, 1, s_cells)
     x_t = OperatorExpr.interval(grid, 1, t_cells)
     shift = Fraction(alpha) * grid.cell_length * (s_cells - t_cells)
@@ -484,20 +473,23 @@ def cond_exp_obstruction(grid: IntervalGrid, alpha, t_cells: int, s_cells: int, 
     return (_vacuum_state([b_star, x_s], alpha, x_t_vacuum), _vacuum_state([b_star, x_t + shift], alpha, x_t_vacuum))
 
 
+def _eta(grid: IntervalGrid, a: Fraction, depth: int) -> FockVector:
+    # eta_D = sum_{n<=D} (-1/(aT))^n chi^{(x)n}; n runs down, so den is q^D from the first term
+    ratio = -1 / (a * grid.total_time)
+    ints, den = {}, 1
+    for n in range(depth, -1, -1):
+        den = _accumulate(ints, den, ratio**n, elementary_tensor(grid, [((1, grid.cells), n)]).ints, 1)
+    return FockVector._from_ints(grid, ints, den)
+
+
 def kernel_vector(grid: IntervalGrid, alpha, depth: int) -> FockVector:
     """Truncated geometric kernel candidate sum_{n<=D} (-1/(alpha t))^n chi^{(x) n}."""
     if grid.cells != 1:
         raise ValueError("the kernel vector lives on a single-cell grid")
-    a, t = Fraction(alpha), grid.total_time
+    a = Fraction(alpha)
     if a == 0:
         raise ValueError("alpha must be nonzero")
-    ratio = -1 / (a * t)
-    coef: dict[Word, Fraction] = {}
-    value = Fraction(1)
-    for n in range(depth + 1):
-        coef[(1,) * n] = value
-        value *= ratio
-    return FockVector(grid, coef)
+    return _eta(grid, a, depth)
 
 
 def kernel_residual(alpha, t, depth: int) -> float:
@@ -521,10 +513,7 @@ def kernel_shift_vacuum_pairing(alpha, t, s_cells: int, cells: int, depth: int) 
     if not 1 <= s_cells < cells:
         raise ValueError("need 1 <= s_cells < cells")
     grid = IntervalGrid(Fraction(t), cells)
-    ratio = -1 / (a * Fraction(t))
-    eta = FockVector(grid)
-    for n in range(depth + 1):
-        eta = eta + elementary_tensor(grid, [((1, cells), n)]).scaled(ratio**n)
+    eta = _eta(grid, a, depth)
     s = Fraction(t) * s_cells / cells
     shifted = OperatorExpr.interval(grid, 1, s_cells) + OperatorExpr.identity(grid).scaled(s / (a * Fraction(t)))
     return shifted.apply(eta, alpha).vacuum_coefficient()

@@ -251,9 +251,12 @@ def support(measure: Measure) -> tuple[float, float]:
     alpha, t = float(measure.alpha), float(measure.time)
     if measure.kind == CT_LAW:
         a = alpha * math.sqrt(t)
-        return ((1 - a) ** 2, (1 + a) ** 2)
-    half = 2 * math.sqrt(t)
-    return (alpha * t - half, alpha * t + half)
+        lo, hi = (1 - a) ** 2, (1 + a) ** 2
+    else:
+        lo, hi = alpha * t - 2 * math.sqrt(t), alpha * t + 2 * math.sqrt(t)
+    if lo == hi:
+        raise ValueError(f"the law is narrower than float resolution: its support collapses to the point {lo!r}")
+    return lo, hi
 
 
 def density_eval(measure: Measure, x) -> float:
@@ -264,9 +267,9 @@ def density_eval(measure: Measure, x) -> float:
         hit = x == loc if not isinstance(x, float) else xf == float(loc)
         if hit:
             raise AtomLocationError(loc, atom_mass(measure))
+    lo, hi = support(measure)
     alpha, t = float(measure.alpha), float(measure.time)
     if measure.kind == CT_LAW:
-        lo, hi = support(measure)
         radicand = (hi - xf) * (xf - lo)
         if radicand <= 0:
             return 0.0

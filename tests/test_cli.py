@@ -1,7 +1,11 @@
+import contextlib
+import io
 import json
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from twostate import partitions
 from twostate.cli import main
@@ -68,6 +72,17 @@ class TestDensity:
     def test_ct_measure(self, capsys):
         code, out = run(capsys, "density", "--measure", "ct", "--alpha", "1", "--t", "1", "--samples", "3")
         assert code == 0
+
+    def test_subnormal_time_keeps_its_samples(self, capsys):
+        # float(t) is subnormal but nonzero, so the support keeps a width
+        code, out = run(capsys, "density", "--measure", "nu", "--alpha", "1", "--t", "1e-320", "--samples", "2")
+        assert code == 0
+        assert out.splitlines() == [
+            "x,density_f64",
+            "-9.99994433576e-161,2.75669603576e+159",
+            "9.99994433576e-161,2.75669603576e+159",
+            '{"location": null, "mass": "0"}',
+        ]
 
 
 class TestFockMoments:
@@ -190,6 +205,9 @@ class TestPlumbing:
             ["norm-table", "--alpha", "1", "--beta", "1", "--T", "1e400", "--k", "1", "--n-max", "1", "--N", "2"],
             ["selfcheck", "--alpha", "1e400", "--T", "1", "--N", "2", "--order", "4"],
             ["selfcheck", "--alpha", "1", "--T", "1", "--N", "0", "--order", "12"],
+            ["density", "--measure", "ct", "--alpha", "1e-17", "--t", "1", "--samples", "3"],
+            ["density", "--measure", "ct", "--alpha", "1e-400", "--t", "1", "--samples", "3"],
+            ["density", "--measure", "nu", "--alpha", "1", "--t", "1e-400", "--samples", "2"],
         ],
     )
     def test_malformed_input_exits_2(self, capsys, argv):
@@ -228,3 +246,54 @@ class TestPlumbing:
         assert code == 0
         assert out == ""
         assert target.read_text().startswith("n,phi_moment,psi_moment")
+
+
+# Token pools of the grammar fuzz. Counts stop at 3: freeness-check at
+# --N 4 --max-len 4 alone takes seconds.
+RATIONALS = ("0", "1", "-1", "1/2", "-3/7", "1/0", "x", "", "1e-400", "1e400")
+COUNTS = ("-1", "0", "1", "2", "3", "x", "1.5")
+TOKENS = {"--measure": ("nu", "mu", "ct", "zz"), "--N-list": ("1", "1,2", "0", "", "a")}
+GRAMMAR = {
+    "moments": ("--alpha", "--T", "--beta", "--order"),
+    "jacobi": ("--alpha", "--t", "--order"),
+    "density": ("--alpha", "--t", "--measure", "--samples"),
+    "fock-moments": ("--alpha", "--T", "--N", "--degree"),
+    "freeness-check": ("--alpha", "--T", "--N", "--max-len"),
+    "martingale-check": ("--alpha", "--T", "--N", "--n-max"),
+    "variation-table": ("--alpha", "--T", "--beta", "--k", "--n", "--N-list"),
+    "norm-table": ("--alpha", "--T", "--beta", "--k", "--n-max", "--N"),
+    "generator-check": ("--alpha", "--n-max"),
+    "kernel-residual": ("--alpha", "--t", "--depth"),
+    "selfcheck": ("--alpha", "--T", "--N", "--order"),
+}
+# the commands that report a failed identity with exit 1
+VERIFYING = {"jacobi", "freeness-check", "martingale-check", "generator-check", "selfcheck"}
+
+
+@st.composite
+def argvs(draw):
+    command = draw(st.sampled_from(sorted(GRAMMAR)))
+    argv = [command]
+    for flag in GRAMMAR[command]:
+        pool = TOKENS.get(flag, RATIONALS if flag in ("--alpha", "--T", "--t", "--beta") else COUNTS)
+        token = draw(st.sampled_from((None,) + pool))
+        if token is not None:
+            argv += [flag, token]
+    return argv
+
+
+class TestGrammarFuzz:
+    @settings(max_examples=400, deadline=None)
+    @given(argv=argvs())
+    def test_every_argv_exits_cleanly(self, argv):
+        # 0 answers, 1 is a failed identity of a verifying command, 2 is bad
+        # input (from the command or from argparse); nothing else escapes
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as info:
+                assert info.code == 2
+                code = 2
+        assert code in ((0, 1, 2) if argv[0] in VERIFYING else (0, 2))
+        assert "Traceback" not in err.getvalue()

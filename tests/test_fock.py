@@ -554,7 +554,47 @@ class TestProperties:
 
         v = FockVector(grid, {tuple(rng.randint(1, 3) for _ in range(rng.randint(0, 3))): rational() for _ in range(5)})
         expr = OperatorExpr(grid, {tuple(rng.randint(1, 3) for _ in range(rng.randint(0, 3))): rational() for _ in range(4)})
-        for out in (expr.apply(v, alpha), apply_increment(grid, rng.randint(1, 3), alpha, v)):
+        w = FockVector(grid, {tuple(rng.randint(1, 3) for _ in range(rng.randint(0, 3))): rational() for _ in range(5)})
+        outs = (expr.apply(v, alpha), apply_increment(grid, rng.randint(1, 3), alpha, v), v + w, v - w, v - v, v.scaled(alpha))
+        for out in outs:
             for c in out.coef.values():
                 assert type(c) is F and c != 0
                 assert c.denominator > 0 and math.gcd(c.numerator, c.denominator) == 1
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        cells=st.integers(1, 3),
+        entries=st.lists(st.tuples(st.lists(st.integers(1, 3), max_size=3), st.fractions(-20, 20, max_denominator=30),
+                                   st.booleans()), max_size=10),
+        factor=st.fractions(-9, 9, max_denominator=12) | st.just(F(0)),
+    )
+    def test_vector_arithmetic_matches_fraction_reference(self, cells, entries, factor):
+        # v and w share some words, so sums can cancel; the reference is a
+        # plain dict of Fractions with zeros dropped
+        grid = IntervalGrid(F(3, 2), cells)
+        ref_v, ref_w = {}, {}
+        for word, c, into_v in entries:
+            word = tuple(min(i, cells) for i in word)
+            target = ref_v if into_v else ref_w
+            target[word] = c
+            if into_v and c.denominator % 2:
+                ref_w[word] = -c
+        v, w = FockVector(grid, ref_v), FockVector(grid, ref_w)
+
+        def combine(a, b, sign):
+            out = dict(a)
+            for word, c in b.items():
+                out[word] = out.get(word, F(0)) + sign * c
+            return {word: c for word, c in out.items() if c}
+
+        ell = grid.cell_length
+        ref_v = {word: c for word, c in ref_v.items() if c}
+        ref_w = {word: c for word, c in ref_w.items() if c}
+        assert v.coef == ref_v
+        assert (v + w).coef == combine(ref_v, ref_w, 1)
+        assert (v - w).coef == combine(ref_v, ref_w, -1)
+        assert v.scaled(factor).coef == {word: c * factor for word, c in ref_v.items() if c * factor}
+        assert v.inner(w) == sum((c * ref_w[word] * ell ** len(word) for word, c in ref_v.items() if word in ref_w), F(0))
+        assert v.vacuum_coefficient() == ref_v.get((), F(0))
+        assert FockVector(grid, v.coef) == v
+        assert (FockVector(grid, ref_w) == v) == (ref_w == ref_v)

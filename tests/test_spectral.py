@@ -278,6 +278,19 @@ class TestMeasures:
         assert atom_mass(law4) == F(3, 4)
         assert atom_location(law4) == 0
 
+    def test_support_narrower_than_float_resolution_raises(self):
+        # each law's float support collapses to one point; density_eval
+        # reaches the same check for all three kinds
+        tiny = F(1, 10**400)
+        for law in (ct_law(F(1, 10**17), F(1)), ct_law(tiny, F(1)), free_poisson_law(F(1), tiny), semicircle_law(F(1), tiny)):
+            with pytest.raises(ValueError, match="narrower than float resolution"):
+                support(law)
+            with pytest.raises(ValueError, match="narrower than float resolution"):
+                density_eval(law, 1.0)
+        # subnormal but nonzero width, and a C law whose endpoints come out descending
+        assert support(semicircle_law(F(1), F(1, 10**320)))[1] > 0
+        assert support(ct_law(F(-1), F(1))) == (4.0, 0.0)
+
     def test_alpha_zero_collapses(self):
         assert free_poisson_law(F(0), F(1)) == semicircle_law(F(0), F(1))
 
