@@ -222,7 +222,7 @@ def cmd_generator_check(args) -> int:
 
 
 def cmd_kernel_residual(args) -> int:
-    _check_count("depth", args.depth)
+    _check_count("depth", args.depth, maximum=fock.KERNEL_DEPTH_CAP)
     lines = ["depth,residual_f64"]
     for depth in range(1, args.depth + 1):
         lines.append(f"{depth},{fock.kernel_residual(args.alpha, args.t, depth):.12g}")

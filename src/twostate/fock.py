@@ -22,6 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 Word = tuple[int, ...]
+KERNEL_DEPTH_CAP = 600  # a kernel-residual table rebuilds eta_d for every d, so it is cubic in depth
 
 
 @dataclass(frozen=True)

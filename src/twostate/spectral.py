@@ -250,7 +250,7 @@ def atom_location(measure: Measure) -> Fraction | None:
 def support(measure: Measure) -> tuple[float, float]:
     alpha, t = float(measure.alpha), float(measure.time)
     if measure.kind == CT_LAW:
-        a = alpha * math.sqrt(t)
+        a = abs(alpha) * math.sqrt(t)  # (1 -+ a)^2 low to high for either sign of alpha
         lo, hi = (1 - a) ** 2, (1 + a) ** 2
     else:
         lo, hi = alpha * t - 2 * math.sqrt(t), alpha * t + 2 * math.sqrt(t)

@@ -8,9 +8,9 @@ module's primary oracle test, with the Fock model as a third route.
 The partition sum never materialises a partition. The summand depends on a
 partition only through five statistics (its join size with the adjacent
 pairing, its block, singleton, inner free pair and inner adjacent pair
-counts), so one scan over positions 1..2n, pruned so that it only generates
-kept partitions, counts how many partitions share each statistic; the sum
-then runs over those few shapes (76 at n = 6, 210 at n = 8).
+counts), so a memoized transfer over positions 1..2n counts how many kept
+partitions share each statistic; the sum then runs over those few shapes
+(76 at n = 6, 210 at n = 8, 2,676 at n = 16).
 
 One correction relative to the usual statement of the partition sum: an inner
 pair of sigma that is not one of the adjacent pairs always carries the full
@@ -31,7 +31,7 @@ from .fock import FockVector, IntervalGrid, OperatorExpr, state_psi_t
 from .partitions import enumerate_set_partitions
 
 BRUTEFORCE_WORD_CAP = 8
-LEMMA_POWER_CAP = 8
+LEMMA_POWER_CAP = 16
 
 
 @dataclass(frozen=True)
@@ -123,60 +123,53 @@ def _lemma_shapes(n: int) -> tuple[tuple[tuple[int, int, int, int, int], int], .
 
     Those partitions are the non-crossing pair/singleton partitions sigma of
     {1..2n} with no outer singleton and no outer pair of tau, the adjacent
-    pairing {(1,2),...,(2n-1,2n)}; join size is |join(sigma, tau)|.
+    pairing {(1,2),...,(2n-1,2n)}; join size is |join(sigma, tau)|. They are
+    counted, never built, by a memoized transfer over positions 1..2n.
     """
     if n < 1:
         raise ValueError("n must be positive")
-    # Scan positions left to right over a stack of open pairs: each position
-    # is a singleton, opens a pair, or closes the innermost open pair. A block
-    # is outer exactly when the stack is empty around it, so outer singletons
-    # and outer tau pairs are never generated. join(sigma, tau) is tau with
-    # its pairs merged along sigma's pairs: a union-find on the n tau pairs,
-    # left without path compression so that each merge undoes by one store.
-    length = 2 * n
-    parent = list(range(n))
-    stack: list[int] = []
-    counts: dict[tuple[int, int, int, int, int], int] = {}
+    # Left to right, each position is a singleton, opens a pair or closes the
+    # innermost open one; no outer singleton or outer tau pair is generated.
+    # The count still to come depends only on the join components (tau pairs
+    # merged along sigma's pairs) of the open pairs' tau pairs (stack) and of
+    # pos's tau pair (cur; -1 at an even pos, where it is new), and on whether
+    # the top pair opened at pos - 1. Relabelling components by first
+    # appearance lets equal futures share one memo entry.
+    base = 2 * n + 1  # increments pack as base-(2n + 1) digits: no count exceeds 2n
+    one_merge, one_single, one_free, one_tau = (base**i for i in range(4))
 
-    def find(x: int) -> int:
-        while parent[x] != x:
-            x = parent[x]
-        return x
-
-    def scan(pos: int, singles: int, free: int, tau: int, merges: int) -> None:
-        if pos == length:
-            # blocks: the singletons and (2n - singles) / 2 pairs
-            key = (n - merges, n + singles // 2, singles, free, tau)
-            counts[key] = counts.get(key, 0) + 1
-            return
-        room = length - pos - len(stack)  # positions not needed to close the stack
-        if stack:
-            opener = stack.pop()
-            is_tau = opener == pos - 1 and not opener & 1
-            if stack or not is_tau:
-                if not stack:  # an outer free pair carries no weight
-                    free_next, tau_next = free, tau
-                elif is_tau:
-                    free_next, tau_next = free, tau + 1
-                else:
-                    free_next, tau_next = free + 1, tau
-                ra, rb = find(opener >> 1), find(pos >> 1)
-                if ra != rb:
-                    parent[rb] = ra
-                    scan(pos + 1, singles, free_next, tau_next, merges + 1)
-                    parent[rb] = rb
-                else:
-                    scan(pos + 1, singles, free_next, tau_next, merges)
-            stack.append(opener)
+    @lru_cache(maxsize=None)
+    def rest(pos: int, stack: tuple[int, ...], cur: int, just_opened: bool) -> dict[int, int]:
+        if pos == 2 * n:
+            return {0: 1}
+        odd = pos % 2 == 1
+        room = 2 * n - pos - len(stack)  # positions not needed to close the stack
+        moves = []  # (stack after, component of pos's tau pair after, opened, increment)
+        if stack:  # a block with no pair open around it is outer
+            top, below = stack[-1], stack[:-1]
+            is_tau = just_opened and odd
+            if below or not is_tau:  # an outer free pair carries no weight
+                step = (top != cur) * one_merge + (one_tau if is_tau else one_free if below else 0)
+                moves.append((tuple(top if c == cur else c for c in below), top, False, step))
             if room >= 1:
-                scan(pos + 1, singles + 1, free, tau, merges)
+                moves.append((stack, cur, False, one_single))
         if room >= 2:
-            stack.append(pos)
-            scan(pos + 1, singles, free, tau, merges)
-            stack.pop()
+            moves.append((stack + (cur,), cur, True, 0))
+        out: dict[int, int] = {}
+        for after, pair, opened, step in moves:
+            # pos + 1 shares pos's tau pair exactly when pos is even
+            names = {c: i for i, c in enumerate(dict.fromkeys(after if odd else after + (pair,)))}
+            tail = rest(pos + 1, tuple(names[c] for c in after), -1 if odd else names[pair], opened)
+            for key, count in tail.items():
+                out[key + step] = out.get(key + step, 0) + count
+        return out
 
-    scan(0, 0, 0, 0, 0)
-    return tuple(sorted(counts.items()))
+    shapes = []
+    for key, count in rest(0, (), -1, False).items():
+        merges, singles, free, tau = (key // base**i % base for i in range(4))
+        blocks = singles + (2 * n - singles) // 2
+        shapes.append(((n - merges, blocks, singles, free, tau), count))
+    return tuple(sorted(shapes))
 
 
 def _qv_lemma_sum(family: IncrementFamilySpec, n: int) -> Fraction:
@@ -200,10 +193,10 @@ def centered_qv_moment(family: IncrementFamilySpec, n: int, method: str = "brute
     "bruteforce" expands the power binomially into mixed moments (2n <= 8).
     "lemma_sum" sums over the non-crossing pair/singleton partitions of
     {1..2n} with no outer singleton and no outer adjacent pair, which a
-    pruned left-to-right scan counts by shape (join size with the adjacent
-    pairing, blocks, singletons, inner free and inner adjacent pairs) without
-    building them; each shape is weighted once (n <= 8, Brownian-shaped
-    families only).
+    memoized left-to-right transfer counts by shape (join size with the
+    adjacent pairing, blocks, singletons, inner free and inner adjacent pairs)
+    without building them; each shape is weighted once (n <= 16,
+    Brownian-shaped families only).
     """
     if method == "bruteforce":
         if 2 * n > BRUTEFORCE_WORD_CAP:
@@ -212,8 +205,7 @@ def centered_qv_moment(family: IncrementFamilySpec, n: int, method: str = "brute
             raise ValueError("family truncation order too small")
         return _qv_bruteforce(family, n)
     if method == "lemma_sum":
-        if n > LEMMA_POWER_CAP:
-            raise ValueError(f"lemma_sum supports n <= {LEMMA_POWER_CAP}")
+        _check_centered_power(2, n)
         return _qv_lemma_sum(family, n)
     raise ValueError("method must be 'bruteforce' or 'lemma_sum'")
 

@@ -73,6 +73,12 @@ class TestDensity:
         code, out = run(capsys, "density", "--measure", "ct", "--alpha", "1", "--t", "1", "--samples", "3")
         assert code == 0
 
+    def test_negative_alpha_ct_samples_ascend(self, capsys):
+        code, out = run(capsys, "density", "--measure", "ct", "--alpha=-2", "--t", "1", "--samples", "3")
+        assert code == 0
+        xs = [float(line.split(",")[0]) for line in out.splitlines()[1:-1]]
+        assert len(xs) == 3 and xs == sorted(xs)
+
     def test_subnormal_time_keeps_its_samples(self, capsys):
         # float(t) is subnormal but nonzero, so the support keeps a width
         code, out = run(capsys, "density", "--measure", "nu", "--alpha", "1", "--t", "1e-320", "--samples", "2")
@@ -198,7 +204,7 @@ class TestPlumbing:
             ["selfcheck", "--alpha", "1", "--T", "1", "--order", "13"],
             ["moments", "--alpha", "1", "--T", "1", "--order", str(TRANSFORM_ORDER_CAP + 1)],
             ["jacobi", "--alpha", "1", "--t", "1", "--order", str(TRANSFORM_ORDER_CAP + 1)],
-            ["norm-table", "--alpha", "1", "--beta", "1", "--T", "1", "--k", "2", "--n-max", "5", "--N", "2"],
+            ["norm-table", "--alpha", "1", "--beta", "1", "--T", "1", "--k", "2", "--n-max", "9", "--N", "2"],
             ["norm-table", "--alpha", "1", "--beta", "-1", "--T", "1", "--N", "2", "--n-max", "2"],
             ["density", "--measure", "nu", "--alpha", "1", "--t", "1e400", "--samples", "2"],
             ["variation-table", "--alpha", "1", "--beta", "1", "--T", "1e400", "--k", "1", "--N-list", "1"],
@@ -208,6 +214,7 @@ class TestPlumbing:
             ["density", "--measure", "ct", "--alpha", "1e-17", "--t", "1", "--samples", "3"],
             ["density", "--measure", "ct", "--alpha", "1e-400", "--t", "1", "--samples", "3"],
             ["density", "--measure", "nu", "--alpha", "1", "--t", "1e-400", "--samples", "2"],
+            ["kernel-residual", "--alpha", "1", "--t", "1", "--depth", "601"],
         ],
     )
     def test_malformed_input_exits_2(self, capsys, argv):

@@ -1,3 +1,4 @@
+import math
 from collections import Counter
 from fractions import Fraction as F
 
@@ -5,7 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from twostate.cumulants import TwoStateElementSpec, IncrementFamilySpec, brownian_family
+from twostate.cumulants import (
+    IncrementFamilySpec,
+    TwoStateElementSpec,
+    brownian_cumulants,
+    brownian_family,
+    moments_from_two_state_cumulants,
+)
 from twostate.fock import FockVector, IntervalGrid, OperatorExpr, state_psi_t
 from twostate.partitions import _classify_unchecked, adjacent_pairing, enumerate_nc, join
 from twostate.variations import (
@@ -160,7 +167,7 @@ class TestCenteredQuadraticVariation:
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_shape_scan_matches_partition_filter_within_partition_route(self, n):
-        # consistency inside the partition route: the scan's shape counts
+        # consistency inside the partition route: the transfer's shape counts
         # against building, classifying and filtering every pair/singleton
         # partition of {1..2n}
         tau = adjacent_pairing(n)
@@ -181,6 +188,26 @@ class TestCenteredQuadraticVariation:
         alpha, t = F(-3, 2), F(2, 3)
         family = brownian_family(alpha, t, count)
         assert centered_qv_moment(family, n, "lemma_sum") == fock_power_moment(alpha, t, count, 2, n, t)
+
+    def test_lemma_sum_against_fock_past_n8(self):
+        # one case on its own: the Fock side takes about 2 s at (n, N) = (9, 2)
+        # but minutes at (9, 3)
+        alpha, t = F(-3, 2), F(2, 3)
+        assert centered_qv_moment(brownian_family(alpha, t, 2), 9, "lemma_sum") == fock_power_moment(alpha, t, 2, 2, 9, t)
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        alpha=st.fractions(-5, 5, max_denominator=99),
+        beta=st.fractions(-5, 5, max_denominator=99),
+        t=st.fractions(F(1, 99), 5, max_denominator=99),
+        n=st.integers(1, 16),
+    )
+    def test_lemma_sum_matches_series_route_at_one_increment(self, alpha, beta, t, n):
+        # at N = 1 the family is X(T) itself, whose phi-moments the series
+        # transforms give: a second route up to the lemma cap
+        moments = (F(1),) + moments_from_two_state_cumulants(*brownian_cumulants(alpha, t, 2 * n, beta), 2 * n)
+        expected = sum(math.comb(n, j) * (-t) ** (n - j) * moments[2 * j] for j in range(n + 1))
+        assert centered_qv_moment(brownian_family(alpha, t, 1, beta=beta), n, "lemma_sum") == expected
 
     @settings(max_examples=30, deadline=None)
     @given(
