@@ -209,7 +209,7 @@ def cmd_norm_table(args) -> int:
 
 
 def cmd_generator_check(args) -> int:
-    _check_count("n-max", args.n_max, 0)
+    _check_count("n-max", args.n_max, 0, maximum=generator.POLY_DEGREE_CAP)
     lines = []
     all_zero = True
     for n in range(args.n_max + 1):

@@ -55,9 +55,10 @@ def _peel(moments, forward) -> Rationals:
     return tuple(c)
 
 
-# Highest order the series transforms accept. The power table of M_psi holds
-# about order^2 / 2 coefficients, so the cap is checked before any work; at
-# the cap one transform of dense rationals takes about a second.
+# Highest order the series transforms accept, checked before any work: the
+# power table of M_psi holds about order^2 / 2 coefficients. At the cap, on
+# cumulants with denominators up to 99, the forward transforms take 0.2-0.4 s
+# and the inverses on their moments (955- to 1,544-bit denominators) 11-24 s.
 TRANSFORM_ORDER_CAP = 64
 
 

@@ -5,7 +5,8 @@ as a rational constant per call. The martingale polynomials q_n and the
 centered family p_n come from their three-term recursions, the operator L
 integrates the difference quotient against closed-form moment polynomials, and
 the headline identity is d/dt q_n + A_t q_n = 0 with
-A_t = alpha (d/dx - L_mu) + d/dx L_nu.
+A_t = alpha (d/dx - L_mu) + d/dx L_nu. A_t takes the two L images as inputs, so
+the generating-function check builds q, p, nu, mu and each L image once.
 """
 
 from __future__ import annotations
@@ -21,9 +22,10 @@ SERIES_ORDER_CAP = 12
 
 def _recursion_family(n_max: int, alpha, first) -> list[BivariatePolynomial]:
     # x f_k = f_{k+1} + alpha t f_k + t f_{k-1}, monic, seeded by f_1 = first.
-    a = Fraction(alpha)
+    if not 0 <= n_max <= POLY_DEGREE_CAP:
+        raise ValueError(f"n_max must be in 0..{POLY_DEGREE_CAP}, got {n_max}")
     x = BivariatePolynomial.x()
-    shift = BivariatePolynomial({(0, 1): a})
+    shift = BivariatePolynomial({(0, 1): Fraction(alpha)})
     t = BivariatePolynomial.t()
     polys = [BivariatePolynomial.one()]
     if n_max >= 1:
@@ -35,25 +37,24 @@ def _recursion_family(n_max: int, alpha, first) -> list[BivariatePolynomial]:
 
 def q_polynomials(n_max: int, alpha) -> list[BivariatePolynomial]:
     """Martingale polynomials q_0..q_n: monic, q_1 = x (no drift at level zero)."""
-    if n_max > POLY_DEGREE_CAP:
-        raise ValueError(f"n_max exceeds {POLY_DEGREE_CAP}")
     return _recursion_family(n_max, alpha, BivariatePolynomial.x())
 
 
 def p_polynomials(n_max: int, alpha) -> list[BivariatePolynomial]:
     """Centered family p_0..p_n: monic, p_1 = x - alpha t."""
-    if n_max > POLY_DEGREE_CAP:
-        raise ValueError(f"n_max exceeds {POLY_DEGREE_CAP}")
     first = BivariatePolynomial.x() - BivariatePolynomial({(0, 1): Fraction(alpha)})
     return _recursion_family(n_max, alpha, first)
 
 
-def _jacobi_moment_polys(betas, gammas, n_max: int) -> list[BivariatePolynomial]:
-    # Moment polynomials in t from Jacobi data given as level -> polynomial,
-    # by the same weighted-path recursion as the rational version.
+def _jacobi_moment_polys(n_max: int, alpha, beta_0) -> list[BivariatePolynomial]:
+    # Moment polynomials in t of the Jacobi data beta = (beta_0 t, alpha t,
+    # alpha t, ...) and gamma = (t, t, ...), by the same weighted-path
+    # recursion as the rational version.
+    first = BivariatePolynomial({(0, 1): Fraction(beta_0)})
+    drift = BivariatePolynomial({(0, 1): Fraction(alpha)})
+    t = BivariatePolynomial.t()
     height = n_max // 2 + 1
-    state = [BivariatePolynomial.zero() for _ in range(height + 2)]
-    state[0] = BivariatePolynomial.one()
+    state = [BivariatePolynomial.one()] + [BivariatePolynomial.zero() for _ in range(height + 1)]
     moments = []
     for _ in range(n_max):
         new = [BivariatePolynomial.zero() for _ in range(height + 2)]
@@ -62,9 +63,9 @@ def _jacobi_moment_polys(betas, gammas, n_max: int) -> list[BivariatePolynomial]
             if v.is_zero():
                 continue
             new[level + 1] = new[level + 1] + v
-            new[level] = new[level] + v * betas(level)
+            new[level] = new[level] + v * (drift if level else first)
             if level > 0:
-                new[level - 1] = new[level - 1] + v * gammas(level)
+                new[level - 1] = new[level - 1] + v * t
         state = new
         moments.append(state[0])
     return moments
@@ -72,17 +73,12 @@ def _jacobi_moment_polys(betas, gammas, n_max: int) -> list[BivariatePolynomial]
 
 def nu_moment_polys(n_max: int, alpha) -> list[BivariatePolynomial]:
     """Moments of the secondary-state law at time t, as polynomials in t."""
-    drift = BivariatePolynomial({(0, 1): Fraction(alpha)})
-    t = BivariatePolynomial.t()
-    return _jacobi_moment_polys(lambda level: drift, lambda level: t, n_max)
+    return _jacobi_moment_polys(n_max, alpha, alpha)
 
 
 def mu_moment_polys(n_max: int, alpha) -> list[BivariatePolynomial]:
     """Moments of the primary-state law at time t, as polynomials in t."""
-    drift = BivariatePolynomial({(0, 1): Fraction(alpha)})
-    zero = BivariatePolynomial.zero()
-    t = BivariatePolynomial.t()
-    return _jacobi_moment_polys(lambda level: zero if level == 0 else drift, lambda level: t, n_max)
+    return _jacobi_moment_polys(n_max, alpha, 0)
 
 
 def l_apply(f: BivariatePolynomial, measure_moments) -> BivariatePolynomial:
@@ -94,24 +90,26 @@ def l_apply(f: BivariatePolynomial, measure_moments) -> BivariatePolynomial:
     needed = f.x_degree() - 1
     if needed > len(measure_moments):
         raise ValueError(f"need {needed} moments, got {len(measure_moments)}")
-    result = BivariatePolynomial.zero()
+    out: dict[tuple[int, int], Fraction] = {}
     for (dx, dy, dt), c in difference_quotient(f).items():
-        term = BivariatePolynomial({(dx, dt): c})
-        if dy > 0:
-            term = term * measure_moments[dy - 1]
-        result = result + term
-    return result
+        moment = measure_moments[dy - 1].coeffs if dy else {(0, 0): 1}
+        for (mx, mt), m in moment.items():
+            key = (dx + mx, dt + mt)
+            out[key] = out.get(key, 0) + c * m
+    return BivariatePolynomial(out)
+
+
+def _generator(f: BivariatePolynomial, a: Fraction, l_nu, l_mu) -> BivariatePolynomial:
+    # A_t f from the two L images l_nu = L_nu f and l_mu = L_mu f.
+    return (f.d_dx() - l_mu) * a + l_nu.d_dx()
 
 
 def generator_apply(f: BivariatePolynomial, alpha) -> BivariatePolynomial:
     """A_t f = alpha (d/dx f - L_mu f) + d/dx (L_nu f)."""
-    a = Fraction(alpha)
     degree = max(f.x_degree(), 1)
     nu = nu_moment_polys(degree, alpha)
     mu = mu_moment_polys(degree, alpha)
-    drift_part = (f.d_dx() - l_apply(f, mu)) * a
-    diffusion_part = l_apply(f, nu).d_dx()
-    return drift_part + diffusion_part
+    return _generator(f, Fraction(alpha), l_apply(f, nu), l_apply(f, mu))
 
 
 def time_derivative_residual(n: int, alpha) -> BivariatePolynomial:
@@ -149,32 +147,30 @@ def generating_function_check(order: int, alpha) -> GeneratingFunctionReport:
     inverse are the centered family, L_nu lowers q by one, L_mu sends q to the
     centered family, and the alpha-weighted combination reproduces -dH/dt.
     """
-    if order > SERIES_ORDER_CAP:
-        raise ValueError(f"order exceeds {SERIES_ORDER_CAP}")
+    if not 0 <= order <= SERIES_ORDER_CAP:
+        raise ValueError(f"order must be in 0..{SERIES_ORDER_CAP}, got {order}")
     a = Fraction(alpha)
-    x = BivariatePolynomial.x()
     t = BivariatePolynomial.t()
     # denominator 1 + (t alpha - x) z + t z^2, inverted as a z-series
-    c1 = t * a - x
-    c2 = t
+    c1 = t * a - BivariatePolynomial.x()
     inverse = [BivariatePolynomial.one()]
     for k in range(1, order + 1):
         term = c1 * inverse[k - 1]
         if k >= 2:
-            term = term + c2 * inverse[k - 2]
+            term = term + t * inverse[k - 2]
         inverse.append(-1 * term)
-    h_coeffs = [inverse[0]]
-    for k in range(1, order + 1):
-        h_coeffs.append(inverse[k] + t * a * inverse[k - 1])
+    h_coeffs = [inverse[0]] + [inverse[k] + t * a * inverse[k - 1] for k in range(1, order + 1)]
 
-    q = q_polynomials(order, alpha)
-    p = p_polynomials(order, alpha)
-    nu = nu_moment_polys(max(order, 1), alpha)
-    mu = mu_moment_polys(max(order, 1), alpha)
+    q = q_polynomials(order, a)
+    p = p_polynomials(order, a)
+    nu = nu_moment_polys(max(order, 1), a)
+    mu = mu_moment_polys(max(order, 1), a)
+    l_nu = [l_apply(qk, nu) for qk in q]
+    l_mu = [l_apply(qk, mu) for qk in q]
 
     h_ok = all(h_coeffs[k] == q[k] for k in range(order + 1))
     p_ok = all(inverse[k] == p[k] for k in range(order + 1))
-    nu_ok = all(l_apply(q[k], nu) == q[k - 1] for k in range(1, order + 1))
-    mu_ok = all(l_apply(q[k], mu) == p[k - 1] for k in range(1, order + 1))
-    dt_ok = all(time_derivative_residual(k, alpha).is_zero() for k in range(order + 1))
+    nu_ok = all(l_nu[k] == q[k - 1] for k in range(1, order + 1))
+    mu_ok = all(l_mu[k] == p[k - 1] for k in range(1, order + 1))
+    dt_ok = all((q[k].d_dt() + _generator(q[k], a, l_nu[k], l_mu[k])).is_zero() for k in range(order + 1))
     return GeneratingFunctionReport(order, h_ok, p_ok, nu_ok, mu_ok, dt_ok)

@@ -59,7 +59,7 @@ class BivariatePolynomial:
             other = BivariatePolynomial.constant(other)
         out = dict(self.coeffs)
         for key, c in other.coeffs.items():
-            out[key] = out.get(key, Fraction(0)) + c
+            out[key] = out.get(key, 0) + c
         return BivariatePolynomial(out)
 
     __radd__ = __add__
@@ -83,7 +83,7 @@ class BivariatePolynomial:
         for (ax, at), ac in self.coeffs.items():
             for (bx, bt), bc in other.coeffs.items():
                 key = (ax + bx, at + bt)
-                out[key] = out.get(key, Fraction(0)) + ac * bc
+                out[key] = out.get(key, 0) + ac * bc
         return BivariatePolynomial(out)
 
     __rmul__ = __mul__
@@ -112,7 +112,7 @@ class BivariatePolynomial:
         out: dict[tuple[int, int], Fraction] = {}
         for (dx, dt), c in self.coeffs.items():
             key = (dx, 0)
-            out[key] = out.get(key, Fraction(0)) + c * tv**dt
+            out[key] = out.get(key, 0) + c * tv**dt
         return BivariatePolynomial(out)
 
     def substitute_x(self, replacement: "BivariatePolynomial") -> "BivariatePolynomial":
@@ -160,5 +160,5 @@ def difference_quotient(f: BivariatePolynomial) -> dict[tuple[int, int, int], Fr
     for (dx, dt), c in f.coeffs.items():
         for i in range(dx):
             key = (i, dx - 1 - i, dt)
-            out[key] = out.get(key, Fraction(0)) + c
+            out[key] = out.get(key, 0) + c
     return {k: v for k, v in out.items() if v}

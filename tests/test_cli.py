@@ -215,6 +215,7 @@ class TestPlumbing:
             ["density", "--measure", "ct", "--alpha", "1e-400", "--t", "1", "--samples", "3"],
             ["density", "--measure", "nu", "--alpha", "1", "--t", "1e-400", "--samples", "2"],
             ["kernel-residual", "--alpha", "1", "--t", "1", "--depth", "601"],
+            ["generator-check", "--alpha", "1/3", "--n-max", "17"],
         ],
     )
     def test_malformed_input_exits_2(self, capsys, argv):

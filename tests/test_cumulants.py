@@ -29,6 +29,12 @@ def rand_rationals(rng, length):
     return tuple(F(rng.randint(-4, 4), rng.randint(1, 5)) for _ in range(length))
 
 
+# sequences of up to 24 rationals with unrelated denominators, so the common
+# denominator the series transforms grade by grows large
+dense = st.fractions(-9, 9, max_denominator=999)
+dense_sequences = st.lists(dense, max_size=24).map(tuple)
+
+
 class TestFreeTransform:
     def test_shifted_semicircle(self):
         assert moments_from_free_cumulants((F(1), F(1), F(0), F(0)), 4) == (1, 2, 4, 9)
@@ -54,6 +60,11 @@ class TestFreeTransform:
             c = rand_rationals(rng, 6)
             m = moments_from_free_cumulants(c, 6)
             assert free_cumulants_from_moments(m) == c
+
+    @settings(max_examples=25, deadline=None)
+    @given(dense_sequences)
+    def test_roundtrip_dense(self, c):
+        assert free_cumulants_from_moments(moments_from_free_cumulants(c, len(c))) == c
 
     def test_insufficient_length(self):
         with pytest.raises(ValueError):
@@ -88,6 +99,14 @@ class TestTwoStateTransform:
             inner = rand_rationals(rng, 6)
             m = moments_from_two_state_cumulants(outer, inner, 6)
             assert two_state_cumulants_from_moments(m, inner) == outer
+
+    @settings(max_examples=25, deadline=None)
+    @given(dense_sequences, st.data())
+    def test_roundtrip_dense(self, outer, data):
+        n = len(outer)
+        inner = data.draw(st.lists(dense, min_size=n, max_size=n).map(tuple))
+        m = moments_from_two_state_cumulants(outer, inner, n)
+        assert two_state_cumulants_from_moments(m, inner) == outer
 
     def test_phi_equals_psi_case(self):
         rng = random.Random(5)

@@ -1,6 +1,8 @@
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from twostate.generator import (
     generating_function_check,
@@ -13,7 +15,7 @@ from twostate.generator import (
     time_derivative_residual,
 )
 from twostate.poly import BivariatePolynomial, difference_quotient
-from twostate.spectral import JacobiParams, orthogonal_polynomials
+from twostate.spectral import JacobiParams, exact_moment, free_poisson_law, orthogonal_polynomials, semicircle_law
 
 X = BivariatePolynomial.x()
 T = BivariatePolynomial.t()
@@ -85,8 +87,11 @@ class TestFamilies:
                 assert q[n] == p[n] + drift * p[n - 1]
 
     def test_degree_cap(self):
-        with pytest.raises(ValueError):
-            q_polynomials(17, F(1))
+        # degrees are 0..16; a negative one must not pass as the family [1]
+        for family in (q_polynomials, p_polynomials):
+            for n in (17, -1):
+                with pytest.raises(ValueError):
+                    family(n, F(1))
 
     def test_matches_spectral_at_fixed_time(self):
         for alpha, t0 in [(F(1), F(1)), (F(2), F(1, 2)), (F(1, 2), F(3))]:
@@ -110,6 +115,19 @@ class TestMomentPolys:
         assert mu[1] == T
         assert mu[2] == T**2
         assert mu[3] == 2 * T**2 + T**3
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        alpha=st.fractions(-5, 5, max_denominator=12),
+        t0=st.fractions(F(1, 12), 5, max_denominator=12),
+        k=st.integers(1, 12),
+    )
+    def test_match_cumulant_route(self, alpha, t0, k):
+        # at t = t0 the polynomial moments are those of the closed-form laws
+        nu = nu_moment_polys(k, alpha)[k - 1].substitute_t(t0)
+        mu = mu_moment_polys(k, alpha)[k - 1].substitute_t(t0)
+        assert nu == BivariatePolynomial.constant(exact_moment(semicircle_law(alpha, t0), k))
+        assert mu == BivariatePolynomial.constant(exact_moment(free_poisson_law(alpha, t0), k))
 
     def test_mu_centered_q_integrals_vanish(self):
         # the martingale polynomials integrate to zero against the primary law
@@ -179,6 +197,12 @@ class TestGenerator:
             for n in range(13):
                 assert time_derivative_residual(n, alpha).is_zero(), (alpha, n)
 
+    @pytest.mark.parametrize("n", [17, -1, -3])
+    def test_degree_cap(self, n):
+        # a negative degree must not read as a zero residual or an IndexError
+        with pytest.raises(ValueError):
+            time_derivative_residual(n, F(1))
+
     def test_alpha_zero_degeneration(self):
         # drift-free case: q = p and the generator is d/dx L_nu
         q = q_polynomials(8, F(0))
@@ -207,5 +231,7 @@ class TestGeneratingFunction:
             assert -1 * q2.d_dt() == BivariatePolynomial({(1, 0): alpha, (0, 0): 1})
 
     def test_order_cap(self):
-        with pytest.raises(ValueError):
-            generating_function_check(13, F(1))
+        # orders are 0..12; a negative one must not report ok
+        for order in (13, -1):
+            with pytest.raises(ValueError):
+                generating_function_check(order, F(1))
