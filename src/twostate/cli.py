@@ -127,20 +127,21 @@ def _centered_monomial(grid, alpha, cell: int, degree: int) -> fock.OperatorExpr
 def cmd_freeness_check(args) -> int:
     _check_count("max-len", args.max_len)
     grid = fock.IntervalGrid(args.T, args.N)
+    cells = range(1, grid.cells + 1)
+    monomials = {(c, d): _centered_monomial(grid, args.alpha, c, d) for c in cells for d in (1, 2)}
     checked = 0
     lines = []
 
     def walk(prefix: list[tuple[int, int]]) -> None:
         nonlocal checked
         if prefix:
-            factors = [_centered_monomial(grid, args.alpha, c, d) for c, d in prefix]
-            report = fock.freeness_check(grid, args.alpha, factors)
+            report = fock.freeness_check(grid, args.alpha, [monomials[factor] for factor in prefix])
             checked += 1
             if not report.ok:
                 lines.append(json.dumps({"word": prefix, "ok": False}, sort_keys=True))
         if len(prefix) == args.max_len:
             return
-        for cell in range(1, grid.cells + 1):
+        for cell in cells:
             if prefix and prefix[-1][0] == cell:
                 continue
             for degree in (1, 2):
@@ -210,15 +211,9 @@ def cmd_norm_table(args) -> int:
 
 def cmd_generator_check(args) -> int:
     _check_count("n-max", args.n_max, 0, maximum=generator.POLY_DEGREE_CAP)
-    lines = []
-    all_zero = True
-    for n in range(args.n_max + 1):
-        residual = generator.time_derivative_residual(n, args.alpha)
-        ok = residual.is_zero()
-        all_zero &= ok
-        lines.append(json.dumps({"n": n, "residual_is_zero": ok}, sort_keys=True))
-    _emit(lines, args.output)
-    return 0 if all_zero else 1
+    zeros = [residual.is_zero() for residual in generator._ladder(args.n_max, args.alpha)[-1]]
+    _emit([json.dumps({"n": n, "residual_is_zero": ok}, sort_keys=True) for n, ok in enumerate(zeros)], args.output)
+    return 0 if all(zeros) else 1
 
 
 def cmd_kernel_residual(args) -> int:
@@ -232,6 +227,8 @@ def cmd_kernel_residual(args) -> int:
 
 def _selfcheck_items(alpha: Fraction, t: Fraction, big_n: int, order: int):
     outer, inner = brownian_cumulants(alpha, t, order)
+    phi_m = moments_from_two_state_cumulants(outer, inner, order)
+    psi_m = moments_from_free_cumulants(inner, order)
 
     def partitions_counts():
         bells = [1, 2, 5, 15, 52]
@@ -242,19 +239,15 @@ def _selfcheck_items(alpha: Fraction, t: Fraction, big_n: int, order: int):
 
     def transform_roundtrips():
         # the series transforms against the partition sums, their oracle
-        moments = moments_from_free_cumulants(inner, order)
-        assert moments == tuple(_two_state_sum(_nc_table(j), inner, inner) for j in range(1, order + 1))
-        oracle = _peel(moments, lambda j, c: _two_state_sum(_nc_table(j), c, c))
-        assert free_cumulants_from_moments(moments) == oracle == inner
-        phi_m = moments_from_two_state_cumulants(outer, inner, order)
+        assert psi_m == tuple(_two_state_sum(_nc_table(j), inner, inner) for j in range(1, order + 1))
+        oracle = _peel(psi_m, lambda j, c: _two_state_sum(_nc_table(j), c, c))
+        assert free_cumulants_from_moments(psi_m) == oracle == inner
         assert phi_m == tuple(_two_state_sum(_nc_table(j), outer, inner) for j in range(1, order + 1))
         oracle = _peel(phi_m, lambda j, outer_c: _two_state_sum(_nc_table(j), outer_c, inner))
         assert two_state_cumulants_from_moments(phi_m, inner) == oracle == outer
 
     def cross_representation():
         grid = fock.IntervalGrid(t, big_n)
-        phi_m = moments_from_two_state_cumulants(outer, inner, order)
-        psi_m = moments_from_free_cumulants(inner, order)
         assert fock.phi_moment_table(grid, alpha, order) == phi_m
         assert fock.psi_moment_table(grid, alpha, order) == psi_m
         jac = spectral.moments_to_jacobi(phi_m)
@@ -274,18 +267,13 @@ def _selfcheck_items(alpha: Fraction, t: Fraction, big_n: int, order: int):
             assert mixed_moment(family, word, "psi") == fock.state_psi_t(expr, alpha)
 
     def jacobi_shift_routes():
-        nu_moments = moments_from_free_cumulants(inner, order)
-        shifted = spectral.jacobi_shift(spectral.moments_to_jacobi(nu_moments), t)
+        shifted = spectral.jacobi_shift(spectral.moments_to_jacobi(psi_m), t)
         depth = order - 1
-        assert spectral.jacobi_to_moments(shifted, depth) == spectral.shift_moments_by_series(
-            nu_moments, t, depth
-        )
+        assert spectral.jacobi_to_moments(shifted, depth) == spectral.shift_moments_by_series(psi_m, t, depth)
 
     def lemma_op_c():
-        mu_m = moments_from_two_state_cumulants(outer, inner, order)
-        nu_m = moments_from_free_cumulants(inner, order)
-        for n in range(1, order):
-            assert nu_m[n - 1] == mu_m[n - 1] + alpha * mu_m[n]
+        for n in range(1, order):  # nu and mu are the psi and phi laws
+            assert psi_m[n - 1] == phi_m[n - 1] + alpha * phi_m[n]
 
     def quadrature_normalization():
         for make in (spectral.semicircle_law, spectral.free_poisson_law):
@@ -311,8 +299,7 @@ def _selfcheck_items(alpha: Fraction, t: Fraction, big_n: int, order: int):
         assert lhs == rhs
 
     def generator_residuals():
-        for n in range(min(order, 8) + 1):
-            assert generator.time_derivative_residual(n, alpha).is_zero()
+        assert all(residual.is_zero() for residual in generator._ladder(min(order, 8), alpha)[-1])
 
     def product_lemma_sample():
         grid = fock.IntervalGrid(t, max(big_n, 2))

@@ -255,9 +255,10 @@ class OperatorExpr:
     def apply(self, v: FockVector, alpha) -> FockVector:
         """Linear extension over terms; each generator word acts right to left.
 
-        All length-one words (a weighted sum of increments, the hot path for
-        moment tables) are handled in a single pass over the vector. The terms
-        are summed in integers over a common denominator.
+        All length-one words (a weighted sum of increments: the interval X of
+        `_orthogonal` in the martingale check and product lemma, `c_t_expr`,
+        and X(t) in `cond_exp_obstruction`) are handled in a single pass over
+        the vector. The terms are summed in integers over a common denominator.
         """
         if v.grid != self.grid:
             raise ValueError("grid mismatch")

@@ -116,6 +116,45 @@ def _qv_bruteforce(family: IncrementFamilySpec, n: int) -> Fraction:
     return total
 
 
+_BASE = 2 * LEMMA_POWER_CAP + 1  # increments pack as base-_BASE digits: no count exceeds 2n
+_ONE_MERGE, _ONE_SINGLE, _ONE_FREE, _ONE_TAU = (_BASE**i for i in range(4))
+
+
+@lru_cache(maxsize=None)
+def _rest(left: int, stack: tuple[int, ...], cur: int, just_opened: bool) -> dict[int, int]:
+    # Packed (merges, singletons, inner free, inner tau pairs) still to come
+    # with `left` positions to go, for every n. Each position is a singleton,
+    # opens a pair or closes the innermost open one; no outer singleton or
+    # outer tau pair is generated. The future depends only on the join
+    # components (tau pairs merged along sigma's pairs) of the open pairs' tau
+    # pairs (stack) and of this position's tau pair (cur; -1 at an even left,
+    # where it is new), and on whether the top pair opened one position back.
+    # Components are relabelled by first appearance, so equal futures share.
+    if left == 0:
+        return {0: 1}
+    odd = left % 2 == 1  # as 2n is even: this position's 0-based index is odd
+    room = left - len(stack)  # positions not needed to close the stack
+    moves = []  # (stack after, component of the tau pair after, opened, increment)
+    if stack:  # a block with no pair open around it is outer
+        top, below = stack[-1], stack[:-1]
+        is_tau = just_opened and odd
+        if below or not is_tau:  # an outer free pair carries no weight
+            step = (top != cur) * _ONE_MERGE + (_ONE_TAU if is_tau else _ONE_FREE if below else 0)
+            moves.append((tuple(top if c == cur else c for c in below), top, False, step))
+        if room >= 1:
+            moves.append((stack, cur, False, _ONE_SINGLE))
+    if room >= 2:
+        moves.append((stack + (cur,), cur, True, 0))
+    out: dict[int, int] = {}
+    for after, pair, opened, step in moves:
+        # the next position shares this one's tau pair exactly when left is even
+        names = {c: i for i, c in enumerate(dict.fromkeys(after if odd else after + (pair,)))}
+        tail = _rest(left - 1, tuple(names[c] for c in after), -1 if odd else names[pair], opened)
+        for key, count in tail.items():
+            out[key + step] = out.get(key + step, 0) + count
+    return out
+
+
 @lru_cache(maxsize=None)
 def _lemma_shapes(n: int) -> tuple[tuple[tuple[int, int, int, int, int], int], ...]:
     """Shape keys (join size, blocks, singletons, inner free pairs, inner tau
@@ -124,49 +163,14 @@ def _lemma_shapes(n: int) -> tuple[tuple[tuple[int, int, int, int, int], int], .
     Those partitions are the non-crossing pair/singleton partitions sigma of
     {1..2n} with no outer singleton and no outer pair of tau, the adjacent
     pairing {(1,2),...,(2n-1,2n)}; join size is |join(sigma, tau)|. They are
-    counted, never built, by a memoized transfer over positions 1..2n.
+    counted, never built, by the memoized transfer `_rest` over positions 1..2n.
     """
     if n < 1:
         raise ValueError("n must be positive")
-    # Left to right, each position is a singleton, opens a pair or closes the
-    # innermost open one; no outer singleton or outer tau pair is generated.
-    # The count still to come depends only on the join components (tau pairs
-    # merged along sigma's pairs) of the open pairs' tau pairs (stack) and of
-    # pos's tau pair (cur; -1 at an even pos, where it is new), and on whether
-    # the top pair opened at pos - 1. Relabelling components by first
-    # appearance lets equal futures share one memo entry.
-    base = 2 * n + 1  # increments pack as base-(2n + 1) digits: no count exceeds 2n
-    one_merge, one_single, one_free, one_tau = (base**i for i in range(4))
-
-    @lru_cache(maxsize=None)
-    def rest(pos: int, stack: tuple[int, ...], cur: int, just_opened: bool) -> dict[int, int]:
-        if pos == 2 * n:
-            return {0: 1}
-        odd = pos % 2 == 1
-        room = 2 * n - pos - len(stack)  # positions not needed to close the stack
-        moves = []  # (stack after, component of pos's tau pair after, opened, increment)
-        if stack:  # a block with no pair open around it is outer
-            top, below = stack[-1], stack[:-1]
-            is_tau = just_opened and odd
-            if below or not is_tau:  # an outer free pair carries no weight
-                step = (top != cur) * one_merge + (one_tau if is_tau else one_free if below else 0)
-                moves.append((tuple(top if c == cur else c for c in below), top, False, step))
-            if room >= 1:
-                moves.append((stack, cur, False, one_single))
-        if room >= 2:
-            moves.append((stack + (cur,), cur, True, 0))
-        out: dict[int, int] = {}
-        for after, pair, opened, step in moves:
-            # pos + 1 shares pos's tau pair exactly when pos is even
-            names = {c: i for i, c in enumerate(dict.fromkeys(after if odd else after + (pair,)))}
-            tail = rest(pos + 1, tuple(names[c] for c in after), -1 if odd else names[pair], opened)
-            for key, count in tail.items():
-                out[key + step] = out.get(key + step, 0) + count
-        return out
-
+    _check_centered_power(2, n)  # the packing base holds counts up to 2 LEMMA_POWER_CAP
     shapes = []
-    for key, count in rest(0, (), -1, False).items():
-        merges, singles, free, tau = (key // base**i % base for i in range(4))
+    for key, count in _rest(2 * n, (), -1, False).items():
+        merges, singles, free, tau = (key // _BASE**i % _BASE for i in range(4))
         blocks = singles + (2 * n - singles) // 2
         shapes.append(((n - merges, blocks, singles, free, tau), count))
     return tuple(sorted(shapes))

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from twostate import generator
 from twostate.generator import (
     generating_function_check,
     generator_apply,
@@ -202,6 +203,18 @@ class TestGenerator:
         # a negative degree must not read as a zero residual or an IndexError
         with pytest.raises(ValueError):
             time_derivative_residual(n, F(1))
+
+    @pytest.mark.parametrize("alpha", [F(0), F(1), F(-3, 2), F(9973, 9998)])
+    def test_ladder_matches_single_degree_route(self, alpha):
+        residuals = generator._ladder(16, alpha)[-1]
+        assert len(residuals) == 17
+        for k in range(17):
+            assert residuals[k] == time_derivative_residual(k, alpha), (alpha, k)
+
+    @pytest.mark.parametrize("n_max", [-1, 17])
+    def test_ladder_degree_cap(self, n_max):
+        with pytest.raises(ValueError):
+            generator._ladder(n_max, F(1))
 
     def test_alpha_zero_degeneration(self):
         # drift-free case: q = p and the generator is d/dx L_nu

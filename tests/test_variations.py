@@ -1,3 +1,4 @@
+import hashlib
 import math
 from collections import Counter
 from fractions import Fraction as F
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from twostate import variations
 from twostate.cumulants import (
     IncrementFamilySpec,
     TwoStateElementSpec,
@@ -16,6 +18,7 @@ from twostate.cumulants import (
 from twostate.fock import FockVector, IntervalGrid, OperatorExpr, state_psi_t
 from twostate.partitions import _classify_unchecked, adjacent_pairing, enumerate_nc, join
 from twostate.variations import (
+    LEMMA_POWER_CAP,
     _lemma_shapes,
     centered_power_moment,
     centered_qv_moment,
@@ -181,6 +184,23 @@ class TestCenteredQuadraticVariation:
             key = (join(sigma, tau).size, sigma.size, len(cls.singletons), len(pairs) - inner_tau, inner_tau)
             expected[key] += 1
         assert _lemma_shapes(n) == tuple(sorted(expected.items()))
+
+    def test_shared_transfer_memo_does_not_depend_on_order(self):
+        # one transfer memo serves every power: filled from n = 12 down, each
+        # power's shape counts must hash to what a fresh memo per power gives
+        expected = {
+            1: "2e38e77b22c3", 2: "c55af6e8971f", 3: "6da79f2e1c2f", 4: "3e80f4f5c514",
+            5: "f198f84c5824", 6: "461ecc1f6c66", 7: "2105488be05e", 8: "8192a59bbbd8",
+            9: "1dcd3a6f0261", 10: "1808677ec8c6", 11: "2a85af7324d2", 12: "b4551ecb7b6f",
+        }
+        _lemma_shapes.cache_clear()
+        variations._rest.cache_clear()
+        for n in range(12, 0, -1):
+            assert hashlib.sha256(repr(_lemma_shapes(n)).encode()).hexdigest()[:12] == expected[n], n
+
+    def test_lemma_shapes_reject_powers_past_the_packing_base(self):
+        with pytest.raises(ValueError, match="lemma_sum supports"):
+            _lemma_shapes(LEMMA_POWER_CAP + 1)
 
     @pytest.mark.parametrize("count", [2, 3])
     @pytest.mark.parametrize("n", [5, 6])
