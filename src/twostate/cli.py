@@ -111,6 +111,7 @@ def cmd_density(args) -> int:
 
 def cmd_fock_moments(args) -> int:
     _check_count("degree", args.degree)
+    _check_count("N", args.N, maximum=fock.CELL_CAP)
     grid = fock.IntervalGrid(args.T, args.N)
     phi = fock.phi_moment_table(grid, args.alpha, args.degree)
     psi = fock.psi_moment_table(grid, args.alpha, args.degree)
@@ -126,6 +127,7 @@ def _centered_monomial(grid, alpha, cell: int, degree: int) -> fock.OperatorExpr
 
 def cmd_freeness_check(args) -> int:
     _check_count("max-len", args.max_len)
+    _check_count("N", args.N, maximum=fock.CELL_CAP)
     grid = fock.IntervalGrid(args.T, args.N)
     cells = range(1, grid.cells + 1)
     monomials = {(c, d): _centered_monomial(grid, args.alpha, c, d) for c in cells for d in (1, 2)}
@@ -153,7 +155,7 @@ def cmd_freeness_check(args) -> int:
 
 def cmd_martingale_check(args) -> int:
     _check_count("n-max", args.n_max, 0)
-    _check_count("N", args.N, 2)
+    _check_count("N", args.N, 2, maximum=fock.CELL_CAP)
     grid = fock.IntervalGrid(args.T, args.N)
     checked = 0
     lines = []

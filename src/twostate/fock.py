@@ -23,6 +23,11 @@ from fractions import Fraction
 
 Word = tuple[int, ...]
 KERNEL_DEPTH_CAP = 600  # a kernel-residual table rebuilds eta_d for every d, so it is cubic in depth
+# Most grid cells the Fock commands accept, checked before any work. Whole
+# processes at default flags, on a 2-CPU VM: fock-moments takes 0.33 / 0.65 /
+# 2.3 s at N = 8 / 16 / 24, freeness-check 7.9 / 34 s at N = 8 / 12, and
+# martingale-check 7.6 / 23 / 61 s (91 / 141 / 255 MB) at N = 8 / 9 / 10.
+CELL_CAP = 8
 
 
 @dataclass(frozen=True)

@@ -12,8 +12,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from .cumulants import (
     as_rationals,
     brownian_cumulants,
@@ -308,25 +306,33 @@ def quadrature_moment(measure: Measure, n: int) -> float:
 
     The substitution x = center + 2 sqrt(t) cos(theta) absorbs the square-root
     edge factor, leaving a smooth periodic integrand for the midpoint rule on
-    QUADRATURE_NODES nodes.
+    QUADRATURE_NODES nodes. numpy is imported on the first call. Raises
+    ValueError, naming alpha and t, on float overflow or an invalid operation.
     """
     if not 0 <= n <= 12:
         raise ValueError(f"quadrature_moment supports 0 <= n <= 12, got {n}")
-    alpha, t = float(measure.alpha), float(measure.time)
+    import numpy as np
+
+    # numpy scalars, so that the errstate below also guards the scalar products
+    alpha, t = np.float64(measure.alpha), np.float64(measure.time)
     nodes = QUADRATURE_NODES
-    theta = (np.arange(nodes) + 0.5) * (math.pi / nodes)
-    sin2 = np.sin(theta) ** 2
-    if measure.kind == CT_LAW:
-        a = alpha * math.sqrt(t)
-        y = 1 + a * a + 2 * a * np.cos(theta)
-        values = y ** (n - 1) if n >= 1 else 1.0 / y
-        acc = 2.0 / nodes * float(np.dot(values, sin2))
-    else:
-        x = alpha * t + 2 * math.sqrt(t) * np.cos(theta)
-        values = x**n if n >= 1 else np.ones_like(x)
-        if measure.kind == FREE_POISSON:
-            values = values / (1 + alpha * x)
-        acc = 2.0 / nodes * float(np.dot(values, sin2))
+    try:
+        with np.errstate(over="raise", invalid="raise", divide="raise", under="ignore"):
+            theta = (np.arange(nodes) + 0.5) * (math.pi / nodes)
+            sin2 = np.sin(theta) ** 2
+            if measure.kind == CT_LAW:
+                a = alpha * math.sqrt(t)
+                y = 1 + a * a + 2 * a * np.cos(theta)
+                values = y ** (n - 1) if n >= 1 else 1.0 / y
+                acc = 2.0 / nodes * float(np.dot(values, sin2))
+            else:
+                x = alpha * t + 2 * math.sqrt(t) * np.cos(theta)
+                values = x**n if n >= 1 else np.ones_like(x)
+                if measure.kind == FREE_POISSON:
+                    values = values / (1 + alpha * x)
+                acc = 2.0 / nodes * float(np.dot(values, sin2))
+    except FloatingPointError as exc:
+        raise ValueError(f"the quadrature leaves float range at alpha={alpha:g}, t={t:g}: {exc}") from None
     mass = atom_mass(measure)
     if mass:
         loc = atom_location(measure)

@@ -1,13 +1,18 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from twostate import partitions
+import twostate
+from twostate import fock, partitions
 from twostate.cli import main
 from twostate.cumulants import TRANSFORM_ORDER_CAP
 
@@ -16,6 +21,15 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out
+
+
+def run_fresh(*args):
+    # a fresh interpreter with the package under test first on its path: what
+    # it writes to stderr, warnings included, is what a shell user sees
+    src = str(Path(twostate.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True, timeout=60)
 
 
 class TestMoments:
@@ -132,6 +146,16 @@ class TestChecks:
         assert code == 0
         assert out.strip().splitlines()[-1] == "passed 12/12"
 
+    def test_selfcheck_quadrature_overflow_exits_2(self):
+        # the quadrature item overflows a float at this alpha: one error line
+        # naming alpha and t, and no numpy warning before it
+        argv = ["selfcheck", "--alpha", "1e160", "--T", "1", "--N", "2", "--order", "4"]
+        result = run_fresh("-m", "twostate.cli", *argv)
+        assert result.returncode == 2
+        assert result.stdout == ""
+        (line,) = result.stderr.splitlines()
+        assert line.startswith("error:") and "alpha=1e+160, t=1" in line
+
 
 class TestVariationTable:
     def test_gap_column(self, capsys):
@@ -216,6 +240,9 @@ class TestPlumbing:
             ["density", "--measure", "nu", "--alpha", "1", "--t", "1e-400", "--samples", "2"],
             ["kernel-residual", "--alpha", "1", "--t", "1", "--depth", "601"],
             ["generator-check", "--alpha", "1/3", "--n-max", "17"],
+            ["fock-moments", "--alpha", "1", "--T", "1", "--N", str(fock.CELL_CAP + 1)],
+            ["freeness-check", "--alpha", "1", "--T", "1", "--N", str(fock.CELL_CAP + 1)],
+            ["martingale-check", "--alpha", "1", "--T", "1", "--N", str(fock.CELL_CAP + 1)],
         ],
     )
     def test_malformed_input_exits_2(self, capsys, argv):
@@ -247,6 +274,23 @@ class TestPlumbing:
         _, first = run(capsys, *args)
         _, second = run(capsys, *args)
         assert first == second
+
+    def test_numpy_loads_only_with_the_quadrature(self):
+        # numpy serves only quadrature_moment, so importing the package and
+        # its CLI must leave it unloaded; the first quadrature loads it
+        script = (
+            "import sys\n"
+            "import twostate, twostate.cli\n"
+            "assert 'numpy' not in sys.modules\n"
+            "from fractions import Fraction\n"
+            "from twostate.spectral import quadrature_moment, semicircle_law\n"
+            "value = quadrature_moment(semicircle_law(Fraction(1), Fraction(1)), 2)\n"
+            "assert 'numpy' in sys.modules\n"
+            "print(repr(value))\n"
+        )
+        result = run_fresh("-c", script)
+        assert result.returncode == 0, result.stderr
+        assert float(result.stdout) == pytest.approx(2.0, abs=1e-8)
 
     def test_output_file(self, capsys, tmp_path):
         target = tmp_path / "out.csv"

@@ -33,6 +33,9 @@ def rand_rationals(rng, length):
 # denominator the series transforms grade by grows large
 dense = st.fractions(-9, 9, max_denominator=999)
 dense_sequences = st.lists(dense, max_size=24).map(tuple)
+# the inverse direction first: order 16 keeps the inverse well under a second,
+# where near TRANSFORM_ORDER_CAP it takes tens of seconds
+dense_moments = st.lists(dense, max_size=16).map(tuple)
 
 
 class TestFreeTransform:
@@ -65,6 +68,11 @@ class TestFreeTransform:
     @given(dense_sequences)
     def test_roundtrip_dense(self, c):
         assert free_cumulants_from_moments(moments_from_free_cumulants(c, len(c))) == c
+
+    @settings(max_examples=25, deadline=None)
+    @given(dense_moments)
+    def test_roundtrip_dense_from_moments(self, m):
+        assert moments_from_free_cumulants(free_cumulants_from_moments(m), len(m)) == m
 
     def test_insufficient_length(self):
         with pytest.raises(ValueError):
@@ -107,6 +115,13 @@ class TestTwoStateTransform:
         inner = data.draw(st.lists(dense, min_size=n, max_size=n).map(tuple))
         m = moments_from_two_state_cumulants(outer, inner, n)
         assert two_state_cumulants_from_moments(m, inner) == outer
+
+    @settings(max_examples=25, deadline=None)
+    @given(dense_moments, st.data())
+    def test_roundtrip_dense_from_moments(self, m, data):
+        n = len(m)
+        inner = data.draw(st.lists(dense, min_size=n, max_size=n).map(tuple))
+        assert moments_from_two_state_cumulants(two_state_cumulants_from_moments(m, inner), inner, n) == m
 
     def test_phi_equals_psi_case(self):
         rng = random.Random(5)

@@ -1,5 +1,6 @@
 import itertools
 import random
+import warnings
 from fractions import Fraction as F
 
 import pytest
@@ -353,6 +354,21 @@ class TestQuadrature:
     def test_degree_cap(self):
         with pytest.raises(ValueError):
             quadrature_moment(semicircle_law(F(0), F(1)), 13)
+
+    @pytest.mark.parametrize("make,n", [(semicircle_law, 4), (free_poisson_law, 0), (ct_law, 0), (ct_law, 4)])
+    def test_overflow_raises(self, make, n):
+        # past float range the quadrature refuses, without a numpy warning,
+        # instead of returning inf or a sum that overflowed on the way
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"alpha=1e\+160, t=1\b"):
+                quadrature_moment(make(F(10) ** 160, F(1)), n)
+
+    def test_underflow_is_silent(self):
+        # x^4 underflows to 0 at every node; the exact moment 2 t^2 is 2e-400
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert quadrature_moment(semicircle_law(F(0), F(1, 10**200)), 4) == 0.0
 
     @pytest.mark.parametrize("make", [semicircle_law, free_poisson_law, ct_law])
     @pytest.mark.parametrize("moment", [quadrature_moment, exact_moment])
