@@ -15,7 +15,6 @@ from fractions import Fraction
 
 from . import fock, generator, spectral, variations
 from .cumulants import (
-    TRANSFORM_ORDER_CAP,
     _peel,
     _two_state_sum,
     brownian_cumulants,
@@ -63,7 +62,7 @@ def _emit_tally(failure_lines: list[str], checked: int, path: str | None) -> int
 
 
 def cmd_moments(args) -> int:
-    _check_count("order", args.order, maximum=TRANSFORM_ORDER_CAP)
+    _check_count("order", args.order)
     outer, inner = brownian_cumulants(args.alpha, args.T, args.order, args.beta)
     phi = moments_from_two_state_cumulants(outer, inner, args.order)
     psi = moments_from_free_cumulants(inner, args.order)
@@ -72,7 +71,7 @@ def cmd_moments(args) -> int:
 
 
 def cmd_jacobi(args) -> int:
-    _check_count("order", args.order, maximum=TRANSFORM_ORDER_CAP)
+    _check_count("order", args.order)
     outer, inner = brownian_cumulants(args.alpha, args.t, args.order)
     nu_moments = moments_from_free_cumulants(inner, args.order)
     mu_moments = moments_from_two_state_cumulants(outer, inner, args.order)
@@ -128,6 +127,10 @@ def _centered_monomial(grid, alpha, cell: int, degree: int) -> fock.OperatorExpr
 def cmd_freeness_check(args) -> int:
     _check_count("max-len", args.max_len)
     _check_count("N", args.N, maximum=fock.CELL_CAP)
+    # the walk checks 2N (2N - 2)^(L - 1) products of each length L <= max-len
+    lengths = range(min(args.max_len, fock.FREENESS_PRODUCT_CAP))
+    if sum(2 * args.N * (2 * args.N - 2) ** k for k in lengths) > fock.FREENESS_PRODUCT_CAP:
+        raise ValueError(f"max-len {args.max_len} at N = {args.N} checks over {fock.FREENESS_PRODUCT_CAP} products")
     grid = fock.IntervalGrid(args.T, args.N)
     cells = range(1, grid.cells + 1)
     monomials = {(c, d): _centered_monomial(grid, args.alpha, c, d) for c in cells for d in (1, 2)}
@@ -154,7 +157,7 @@ def cmd_freeness_check(args) -> int:
 
 
 def cmd_martingale_check(args) -> int:
-    _check_count("n-max", args.n_max, 0)
+    _check_count("n-max", args.n_max, 0, maximum=fock.MARTINGALE_DEGREE_CAP)
     _check_count("N", args.N, 2, maximum=fock.CELL_CAP)
     grid = fock.IntervalGrid(args.T, args.N)
     checked = 0
@@ -212,7 +215,6 @@ def cmd_norm_table(args) -> int:
 
 
 def cmd_generator_check(args) -> int:
-    _check_count("n-max", args.n_max, 0, maximum=generator.POLY_DEGREE_CAP)
     zeros = [residual.is_zero() for residual in generator._ladder(args.n_max, args.alpha)[-1]]
     _emit([json.dumps({"n": n, "residual_is_zero": ok}, sort_keys=True) for n, ok in enumerate(zeros)], args.output)
     return 0 if all(zeros) else 1
@@ -328,7 +330,7 @@ def _selfcheck_items(alpha: Fraction, t: Fraction, big_n: int, order: int):
 def cmd_selfcheck(args) -> int:
     _check_count("order", args.order, 4)
     _check_cap(args.order)  # the transforms' partition-sum oracle enumerates
-    _check_count("N", args.N)
+    _check_count("N", args.N, maximum=fock.CELL_CAP)
     items = _selfcheck_items(args.alpha, args.T, args.N, args.order)
     lines = []
     passed = 0

@@ -56,7 +56,8 @@ def _peel(moments, forward) -> Rationals:
 
 
 # Highest order the series transforms accept, checked before any work: the
-# power table of M_psi holds about order^2 / 2 coefficients. At the cap, on
+# power table of M_psi holds about order^2 / 2 coefficients. brownian_cumulants
+# checks it too, so no consumer is handed a longer vector. At the cap, on
 # cumulants with denominators up to 99, the forward transforms take 0.2-0.4 s
 # and the inverses on their moments (955- to 1,544-bit denominators) 11-24 s.
 TRANSFORM_ORDER_CAP = 64
@@ -67,20 +68,22 @@ def _check_order(n: int) -> None:
         raise ValueError(f"order {n} exceeds the transform order cap {TRANSFORM_ORDER_CAP}")
 
 
-def _graded(scale: int, *sequences) -> list[list[int]]:
-    # Each sequence x_1, x_2, ... as the integers scale^k x_k. A common
-    # denominator of every entry makes them integral, and the moment-cumulant
-    # relations are homogeneous in this grading (a product over the blocks of
-    # a partition of {1..k} carries scale^k), so the series run on integers.
-    return [[c.numerator * (scale**k // c.denominator) for k, c in enumerate(seq, start=1)] for seq in sequences]
-
-
-def _common_denominator(*sequences) -> int:
-    return math.lcm(*(c.denominator for seq in sequences for c in seq))
-
-
-def _ungraded(scale: int, coefficients) -> Rationals:
-    return tuple(Fraction(x, scale**k) for k, x in enumerate(coefficients[1:], start=1))
+def _lifted(solve, n: int | None, *sequences) -> Rationals:
+    # Every transform's prologue: convert, check length n (None: the first
+    # sequence's) and the cap, then solve on x_k lifted to scale^k x_k, scale a
+    # common denominator. The relations are homogeneous in this grading (a
+    # partition of {1..k} carries scale^k), so solve runs on integers and
+    # returns the lifted answer, order 0 first.
+    seqs = [as_rationals(seq) for seq in sequences]
+    n = len(seqs[0]) if n is None else n
+    shortest = min(map(len, seqs))
+    if shortest < n:
+        raise ValueError(f"need {n} terms per sequence, got {shortest}")
+    _check_order(n)
+    seqs = [seq[:max(n, 0)] for seq in seqs]
+    scale = math.lcm(*(c.denominator for seq in seqs for c in seq))
+    graded = [[c.numerator * (scale**k // c.denominator) for k, c in enumerate(seq, start=1)] for seq in seqs]
+    return tuple(Fraction(x, scale**k) for k, x in enumerate(solve(*graded)[1:], start=1))
 
 
 def _free_series(known: list[int], invert: bool) -> tuple[list[int], list[int], list[list[int]]]:
@@ -102,12 +105,13 @@ def _free_series(known: list[int], invert: bool) -> tuple[list[int], list[int], 
     return m, r, powers
 
 
-def _two_state_series(known: list[int], powers: list[list[int]], invert: bool) -> tuple[list[int], list[int]]:
-    # Solve M_phi = 1 + sum_k R_k z^k M_psi^(k-1) M_phi order by order, with
-    # powers the table of M_psi from _free_series. M_phi is the reciprocal of
-    # 1 - G, G = sum_k R_k z^k M_psi^(k-1), so phi_j = sum_{i<=j} g_i phi_(j-i).
+def _two_state_series(known: list[int], inner: list[int], invert: bool) -> tuple[list[int], list[int]]:
+    # Solve M_phi = 1 + sum_k R_k z^k M_psi^(k-1) M_phi order by order, M_psi
+    # from the free cumulants inner. M_phi is the reciprocal of 1 - G,
+    # G = sum_k R_k z^k M_psi^(k-1), so phi_j = sum_{i<=j} g_i phi_(j-i).
     # Given R_1..R_n, or with invert phi_1..phi_n, return (phi, R). As in
     # _free_series, R_j enters phi_j once, through g_j.
+    powers = _free_series(inner, invert=False)[2]
     phi, big_r, g = [1], [0], [0]
     for j, x in enumerate(known, start=1):
         g_rest = sum(big_r[k] * powers[k - 1][j - k] for k in range(2, j))
@@ -120,51 +124,22 @@ def _two_state_series(known: list[int], powers: list[list[int]], invert: bool) -
 
 def moments_from_free_cumulants(cumulants, n: int) -> Rationals:
     """Moments m_1..m_n of the distribution with the given free cumulants."""
-    c = as_rationals(cumulants)
-    if len(c) < n:
-        raise ValueError(f"need {n} cumulants, got {len(c)}")
-    _check_order(n)
-    c = c[:max(n, 0)]
-    scale = _common_denominator(c)
-    (r,) = _graded(scale, c)
-    return _ungraded(scale, _free_series(r, invert=False)[0])
+    return _lifted(lambda r: _free_series(r, invert=False)[0], n, cumulants)
 
 
 def free_cumulants_from_moments(moments) -> Rationals:
     """Invert the free moment formula one order at a time."""
-    m = as_rationals(moments)
-    _check_order(len(m))
-    scale = _common_denominator(m)
-    (graded,) = _graded(scale, m)
-    return _ungraded(scale, _free_series(graded, invert=True)[1])
+    return _lifted(lambda m: _free_series(m, invert=True)[1], None, moments)
 
 
 def moments_from_two_state_cumulants(r_phi_psi, r_psi, n: int) -> Rationals:
     """Primary-state moments: outer blocks carry r_phi_psi, inner blocks r_psi."""
-    outer_c = as_rationals(r_phi_psi)
-    inner_c = as_rationals(r_psi)
-    if len(outer_c) < n or len(inner_c) < n:
-        raise ValueError(f"need {n} cumulants of each kind")
-    _check_order(n)
-    outer_c, inner_c = outer_c[:max(n, 0)], inner_c[:max(n, 0)]
-    scale = _common_denominator(outer_c, inner_c)
-    outer, inner = _graded(scale, outer_c, inner_c)
-    powers = _free_series(inner, invert=False)[2]
-    return _ungraded(scale, _two_state_series(outer, powers, invert=False)[0])
+    return _lifted(lambda outer, inner: _two_state_series(outer, inner, invert=False)[0], n, r_phi_psi, r_psi)
 
 
 def two_state_cumulants_from_moments(m_phi, r_psi) -> Rationals:
     """Recover r_phi_psi from primary moments and the free cumulants."""
-    m = as_rationals(m_phi)
-    inner_c = as_rationals(r_psi)
-    if len(inner_c) < len(m):
-        raise ValueError("free cumulant sequence shorter than the moments")
-    _check_order(len(m))
-    inner_c = inner_c[:len(m)]
-    scale = _common_denominator(m, inner_c)
-    graded, inner = _graded(scale, m, inner_c)
-    powers = _free_series(inner, invert=False)[2]
-    return _ungraded(scale, _two_state_series(graded, powers, invert=True)[1])
+    return _lifted(lambda m, inner: _two_state_series(m, inner, invert=True)[1], None, m_phi, r_psi)
 
 
 def cumulant_dilate(cumulants, scale) -> Rationals:
@@ -246,11 +221,13 @@ def brownian_cumulants(alpha, total_time, order: int, beta=1) -> tuple[Rationals
     """Whole-interval (two-state, free) cumulants of the process over [0, T).
 
     The two-state sequence is (0, T, 0, ...) and the free one
-    (alpha T, beta T, 0, ...), both of length max(order, 2).
+    (alpha T, beta T, 0, ...), both of length max(order, 2). An order past
+    TRANSFORM_ORDER_CAP is refused before any vector is built.
     """
     a, t, b = Fraction(alpha), Fraction(total_time), Fraction(beta)
     if t <= 0:
         raise ValueError("total_time must be positive")
+    _check_order(order)
     zeros = (Fraction(0),) * max(0, order - 2)
     return (Fraction(0), t) + zeros, (a * t, b * t) + zeros
 

@@ -28,6 +28,12 @@ KERNEL_DEPTH_CAP = 600  # a kernel-residual table rebuilds eta_d for every d, so
 # 2.3 s at N = 8 / 16 / 24, freeness-check 7.9 / 34 s at N = 8 / 12, and
 # martingale-check 7.6 / 23 / 61 s (91 / 141 / 255 MB) at N = 8 / 9 / 10.
 CELL_CAP = 8
+# Highest martingale-check --n-max, for every N: at N = 8, --n-max 4 takes
+# 7.6 s and 5 takes 74 s (514 MB); at N = 3, 8 takes 1.0 s, 12 over 90 s.
+MARTINGALE_DEGREE_CAP = 4
+# Most products freeness-check walks: 3,376 at N = 8, --max-len 3 (7.9-9.1 s;
+# --max-len 4, 47,280, runs past 90 s); at N = 2, 2,044 at --max-len 9 (9.6 s).
+FREENESS_PRODUCT_CAP = 3376
 
 
 @dataclass(frozen=True)
@@ -299,12 +305,12 @@ def state_psi_t(expr: OperatorExpr, alpha) -> Fraction:
     return expr.apply(seeded, alpha).vacuum_coefficient()
 
 
-def _iterated_whole_interval_moments(grid: IntervalGrid, alpha, degree: int, seed: FockVector) -> tuple[Fraction, ...]:
-    # Vacuum coefficients of X(T)^n seed for n = 1..degree. Words longer than
-    # degree - step can never annihilate back to the vacuum in time and are
-    # never formed, which keeps the live vector small at any grid size.
+def phi_moment_table(grid: IntervalGrid, alpha, degree: int) -> tuple[Fraction, ...]:
+    """phi[X(T)^n] for n = 1..degree, exact."""
+    # words longer than degree - step could not annihilate back to the vacuum
+    # in time, so they are never formed and the live vector stays small
     whole = {i: 1 for i in range(1, grid.cells + 1)}
-    ints, den = seed.ints, seed.den
+    ints, den = {(): 1}, 1
     out = []
     for step in range(1, degree + 1):
         ints, den = _act(grid, whole, alpha, ints, den, degree - step)
@@ -312,15 +318,12 @@ def _iterated_whole_interval_moments(grid: IntervalGrid, alpha, degree: int, see
     return tuple(out)
 
 
-def phi_moment_table(grid: IntervalGrid, alpha, degree: int) -> tuple[Fraction, ...]:
-    """phi[X(T)^n] for n = 1..degree, exact."""
-    return _iterated_whole_interval_moments(grid, alpha, degree, FockVector.vacuum(grid))
-
-
 def psi_moment_table(grid: IntervalGrid, alpha, degree: int) -> tuple[Fraction, ...]:
-    """psi_T[X(T)^n] for n = 1..degree, exact."""
-    seed = c_t_expr(grid, alpha).apply(FockVector.vacuum(grid), alpha)
-    return _iterated_whole_interval_moments(grid, alpha, degree, seed)
+    """psi_T[X(T)^n] = phi[X(T)^n] + alpha phi[X(T)^(n+1)] for n = 1..degree, exact:
+    psi_T(A) = phi(A (1 + alpha X(T))) applied by linearity."""
+    a = Fraction(alpha)
+    phi = phi_moment_table(grid, alpha, degree + 1)
+    return tuple(phi_n + a * phi_next for phi_n, phi_next in zip(phi, phi[1:]))
 
 
 def _orthogonal(grid: IntervalGrid, first_cell: int, last_cell: int, degree: int, alpha, family: str, start, times_x):

@@ -243,6 +243,13 @@ class TestPlumbing:
             ["fock-moments", "--alpha", "1", "--T", "1", "--N", str(fock.CELL_CAP + 1)],
             ["freeness-check", "--alpha", "1", "--T", "1", "--N", str(fock.CELL_CAP + 1)],
             ["martingale-check", "--alpha", "1", "--T", "1", "--N", str(fock.CELL_CAP + 1)],
+            ["norm-table", "--alpha", "1", "--T", "1", "--N", "2", "--n-max", "1000000"],
+            ["variation-table", "--alpha", "1", "--T", "1", "--k", "1000000", "--N-list", "2"],
+            ["norm-table", "--alpha", "1", "--T", "1", "--N", "2", "--n-max", "1000000000000"],
+            ["variation-table", "--alpha", "1", "--T", "1", "--k", "1000000000000", "--N-list", "2"],
+            ["selfcheck", "--alpha", "1", "--T", "1", "--N", str(fock.CELL_CAP + 1)],
+            ["martingale-check", "--alpha", "1", "--T", "1", "--N", "3", "--n-max", str(fock.MARTINGALE_DEGREE_CAP + 1)],
+            ["freeness-check", "--alpha", "1", "--T", "1", "--N", "8", "--max-len", "4"],
         ],
     )
     def test_malformed_input_exits_2(self, capsys, argv):

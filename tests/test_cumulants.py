@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -260,7 +261,7 @@ class TestFamilySpec:
         with pytest.raises(ValueError, match="count must be positive"):
             IncrementFamilySpec.from_whole_interval(whole, 0, F(1))
 
-    @pytest.mark.parametrize("order", [2, 3, 8])
+    @pytest.mark.parametrize("order", [2, 3, 8, cumulants.TRANSFORM_ORDER_CAP])
     def test_brownian_cumulants_match_family(self, order):
         whole = brownian_family(F(2), F(3, 2), 1, order=order, beta=F(1, 3)).whole_interval
         assert brownian_cumulants(F(2), F(3, 2), order, beta=F(1, 3)) == (whole.r_phi_psi, whole.r_psi)
@@ -272,6 +273,18 @@ class TestFamilySpec:
     def test_brownian_cumulants_reject_non_positive_time(self, t):
         with pytest.raises(ValueError, match="total_time must be positive"):
             brownian_cumulants(F(1), t, 4)
+
+    @pytest.mark.parametrize("build", [
+        lambda order: brownian_cumulants(1, 1, order),
+        lambda order: brownian_family(1, 1, 2, order=order),
+    ], ids=["cumulants", "family"])
+    def test_brownian_order_cap_checked_before_any_vector(self, build):
+        # no consumer reads past the transforms' cap, so a longer vector is
+        # refused before its zeros are built
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=f"^order {10**12} exceeds the transform order cap"):
+            build(10**12)
+        assert time.perf_counter() - start < 1
 
 
 def _oracle_two_state_moments(outer, inner, n):
