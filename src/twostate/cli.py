@@ -29,6 +29,10 @@ from .partitions import _check_cap, _nc_table, enumerate_nc, enumerate_set_parti
 from .rational import parse_rational
 
 MEASURE_NAMES = {"nu": spectral.semicircle_law, "mu": spectral.free_poisson_law, "ct": spectral.ct_law}
+# Most density --samples, checked before any work: every line is kept in
+# memory until the atom line is written. Whole processes on a 2-CPU VM took
+# 0.25 s at 10,000 samples; 100,000 took 2.3 s and 1,000,000 took 20 s.
+DENSITY_SAMPLE_CAP = 10_000
 
 
 def _emit(lines, path: str | None) -> None:
@@ -90,7 +94,7 @@ def cmd_jacobi(args) -> int:
 
 
 def cmd_density(args) -> int:
-    _check_count("samples", args.samples)
+    _check_count("samples", args.samples, maximum=DENSITY_SAMPLE_CAP)
     measure = MEASURE_NAMES[args.measure](args.alpha, args.t)
     lo, hi = spectral.support(measure)
     lines = ["x,density_f64"]
@@ -109,7 +113,7 @@ def cmd_density(args) -> int:
 
 
 def cmd_fock_moments(args) -> int:
-    _check_count("degree", args.degree)
+    _check_count("degree", args.degree, maximum=fock.TABLE_DEGREE_CAP)
     _check_count("N", args.N, maximum=fock.CELL_CAP)
     grid = fock.IntervalGrid(args.T, args.N)
     phi = fock.phi_moment_table(grid, args.alpha, args.degree)
@@ -215,6 +219,7 @@ def cmd_norm_table(args) -> int:
 
 
 def cmd_generator_check(args) -> int:
+    _check_count("n-max", args.n_max, 0, maximum=generator.POLY_DEGREE_CAP)
     zeros = [residual.is_zero() for residual in generator._ladder(args.n_max, args.alpha)[-1]]
     _emit([json.dumps({"n": n, "residual_is_zero": ok}, sort_keys=True) for n, ok in enumerate(zeros)], args.output)
     return 0 if all(zeros) else 1

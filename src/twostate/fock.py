@@ -24,10 +24,15 @@ from fractions import Fraction
 Word = tuple[int, ...]
 KERNEL_DEPTH_CAP = 600  # a kernel-residual table rebuilds eta_d for every d, so it is cubic in depth
 # Most grid cells the Fock commands accept, checked before any work. Whole
-# processes at default flags, on a 2-CPU VM: fock-moments takes 0.33 / 0.65 /
-# 2.3 s at N = 8 / 16 / 24, freeness-check 7.9 / 34 s at N = 8 / 12, and
-# martingale-check 7.6 / 23 / 61 s (91 / 141 / 255 MB) at N = 8 / 9 / 10.
+# processes at default flags, on a 2-CPU VM: freeness-check takes 7.9 / 34 s
+# at N = 8 / 12, and martingale-check 7.6 / 23 / 61 s (91 / 141 / 255 MB) at
+# N = 8 / 9 / 10. The moment tables run on one cell whatever N is.
 CELL_CAP = 8
+# Highest fock-moments --degree. The one-cell table gains a word per step and
+# its numerators grow with every step: whole processes with 4-digit rationals
+# took 0.44 / 1.0 / 2.2 s at degree 200 / 300 / 400, and at 600 the output
+# passes Python's 4,300-digit int-to-str limit.
+TABLE_DEGREE_CAP = 200
 # Highest martingale-check --n-max, for every N: at N = 8, --n-max 4 takes
 # 7.6 s and 5 takes 74 s (514 MB); at N = 3, 8 takes 1.0 s, 12 over 90 s.
 MARTINGALE_DEGREE_CAP = 4
@@ -121,29 +126,26 @@ class FockVector:
         return NotImplemented
 
 
-def _act(grid: IntervalGrid, weights: dict[int, Fraction], alpha, ints: dict[Word, int], den: int, budget: int | None = None) -> tuple[dict[Word, int], int]:
+def _act(grid: IntervalGrid, weights: dict[int, Fraction], alpha, ints: dict[Word, int], den: int) -> tuple[dict[Word, int], int]:
     # Apply sum_i weights[i] * X(I_i) once to the vector ints / den: creation
     # of each i, the alpha * length drift, and annihilation of a leading i; on
     # the vacuum only creation fires. Coefficients stay Python ints: every
     # multiplier is scaled by the lcm of their denominators, so the result is
-    # (ints, den * scale). Words longer than budget are never formed. The
-    # result may hold zero coefficients.
+    # (ints, den * scale). The result may hold zero coefficients.
     ell = grid.cell_length
     drift = Fraction(alpha) * ell * sum(weights.values())
     scale = math.lcm(drift.denominator, *(f.denominator for w in weights.values() for f in (w, w * ell)))
     create = [(i, int(w * scale)) for i, w in weights.items()]
     annihilate = {i: int(w * ell * scale) for i, w in weights.items()}
     drift = int(drift * scale)
-    limit = math.inf if budget is None else budget
     # creation never forms the same word twice, so it fills the dict first
-    out = {(i,) + w: k * c for w, c in ints.items() if len(w) < limit for i, k in create}
+    out = {(i,) + w: k * c for w, c in ints.items() for i, k in create}
     for w, c in ints.items():
-        length = len(w)
-        if length:
-            if drift and length <= limit:
+        if w:
+            if drift:
                 out[w] = out.get(w, 0) + drift * c
             k = annihilate.get(w[0])
-            if k and length <= limit + 1:
+            if k:
                 out[w[1:]] = out.get(w[1:], 0) + k * c
     return out, den * scale
 
@@ -306,14 +308,17 @@ def state_psi_t(expr: OperatorExpr, alpha) -> Fraction:
 
 
 def phi_moment_table(grid: IntervalGrid, alpha, degree: int) -> tuple[Fraction, ...]:
-    """phi[X(T)^n] for n = 1..degree, exact."""
-    # words longer than degree - step could not annihilate back to the vacuum
-    # in time, so they are never formed and the live vector stays small
-    whole = {i: 1 for i in range(1, grid.cells + 1)}
+    """phi[X(T)^n] for n = 1..degree, exact.
+
+    X(T) creates and annihilates chi_[0,T) and adds alpha T, so the words it
+    spans from the vacuum, and so every moment, are the same on each
+    refinement of [0, T): the table is computed on one cell, whatever grid.
+    """
+    one = IntervalGrid(grid.total_time, 1)
     ints, den = {(): 1}, 1
     out = []
-    for step in range(1, degree + 1):
-        ints, den = _act(grid, whole, alpha, ints, den, degree - step)
+    for _ in range(degree):
+        ints, den = _act(one, {1: 1}, alpha, ints, den)
         out.append(Fraction(ints.get((), 0), den))
     return tuple(out)
 

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 import twostate
 from twostate import fock, partitions
-from twostate.cli import main
+from twostate.cli import DENSITY_SAMPLE_CAP, main
 from twostate.cumulants import TRANSFORM_ORDER_CAP
 
 
@@ -250,6 +250,8 @@ class TestPlumbing:
             ["selfcheck", "--alpha", "1", "--T", "1", "--N", str(fock.CELL_CAP + 1)],
             ["martingale-check", "--alpha", "1", "--T", "1", "--N", "3", "--n-max", str(fock.MARTINGALE_DEGREE_CAP + 1)],
             ["freeness-check", "--alpha", "1", "--T", "1", "--N", "8", "--max-len", "4"],
+            ["fock-moments", "--alpha", "1", "--T", "1", "--N", "8", "--degree", str(fock.TABLE_DEGREE_CAP + 1)],
+            ["density", "--measure", "nu", "--alpha", "1", "--t", "1", "--samples", str(DENSITY_SAMPLE_CAP + 1)],
         ],
     )
     def test_malformed_input_exits_2(self, capsys, argv):
@@ -265,6 +267,34 @@ class TestPlumbing:
         assert captured.out == ""
         assert any("error:" in line for line in captured.err.splitlines())
         assert "Traceback" not in captured.err
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["generator-check", "--alpha", "1/3", "--n-max", "17"], "error: n-max must be at most 16, got 17"),
+            (["fock-moments", "--alpha", "1", "--T", "1", "--N", "8", "--degree", "201"], "error: degree must be at most 200, got 201"),
+            (["density", "--measure", "nu", "--alpha", "1", "--t", "1", "--samples", "10001"], "error: samples must be at most 10000, got 10001"),
+        ],
+    )
+    def test_count_caps_name_the_flag(self, capsys, argv, message):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [message]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["density", "--measure", "mu", "--alpha", "1", "--t", "4", "--samples", "100"],
+            ["density", "--measure", "ct", "--alpha", "1/2", "--t", "1", "--samples", "150"],
+            ["fock-moments", "--alpha", "1/2", "--T", "1", "--N", "8", "--degree", str(fock.TABLE_DEGREE_CAP)],
+        ],
+    )
+    def test_counts_at_or_below_the_caps_run(self, capsys, argv):
+        code, out = run(capsys, *argv)
+        assert code == 0
+        # a header, one row per sample or degree, and density's atom line
+        assert len(out.splitlines()) == int(argv[-1]) + 1 + (argv[0] == "density")
 
     @pytest.mark.parametrize("cap,message", [(3, "error: n=4 exceeds the enumeration cap 3")])
     def test_cap_errors_exit_2(self, capsys, monkeypatch, cap, message):

@@ -30,6 +30,7 @@ GOLDEN = [
     ("generator-check --alpha 1/2 --n-max 6", 0, "43a89824d9aa791ecf383bae7c4352d8a7d5249de69be486b6f5ad9a82cc527a"),
     ("kernel-residual --alpha 1 --t 1/2 --depth 8", 0, "4b53780b91b1bafb0045cce607d4a7614ee0bd789c006c336db590856ff7a4dd"),
     ("selfcheck --alpha 1 --T 1 --N 3 --order 6", 0, "be6171f0aad5dcc119c30a00d2beb7301a3dbba3e696077f41c6440d087878c1"),
+    ("fock-moments --alpha 9973/9998 --T 9967/9931 --N 8 --degree 12", 0, "85cdc5172a3684cbec782f94cf928bf9cdc23d86d575ccdd75612f1adbdf5eb6"),
 ]
 
 
