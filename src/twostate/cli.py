@@ -115,6 +115,10 @@ def cmd_density(args) -> int:
 def cmd_fock_moments(args) -> int:
     _check_count("degree", args.degree, maximum=fock.TABLE_DEGREE_CAP)
     _check_count("N", args.N, maximum=fock.CELL_CAP)
+    digits, limit = fock.table_digits(args.alpha, args.T, args.degree), sys.get_int_max_str_digits()
+    if limit and digits > limit:
+        raise ValueError(f"--degree {args.degree} at this --alpha and --T can print {digits}-digit numbers, "
+                         f"past the {limit}-digit limit of integer output")
     grid = fock.IntervalGrid(args.T, args.N)
     phi = fock.phi_moment_table(grid, args.alpha, args.degree)
     psi = fock.psi_moment_table(grid, args.alpha, args.degree)
@@ -338,18 +342,24 @@ def cmd_selfcheck(args) -> int:
     _check_count("N", args.N, maximum=fock.CELL_CAP)
     items = _selfcheck_items(args.alpha, args.T, args.N, args.order)
     lines = []
-    passed = 0
+    passed = failed = 0
     for name, fn in items:
         try:
             fn()
         except AssertionError:
             lines.append(f"FAIL {name}")
+            failed += 1
+        except (ValueError, OverflowError) as exc:
+            # an item that cannot run at these parameters neither passes nor
+            # fails; the other items still report
+            lines.append(f"ERROR {name}: {exc}")
+            print(f"error: {name}: {exc}", file=sys.stderr)
         else:
             lines.append(f"ok {name}")
             passed += 1
     lines.append(f"passed {passed}/{len(items)}")
     _emit(lines, args.output)
-    return 0 if passed == len(items) else 1
+    return 1 if failed else 0 if passed == len(items) else 2
 
 
 def _add_common(parser, *, alpha=True, total_time=False, small_time=False, beta=False):

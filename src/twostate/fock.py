@@ -10,7 +10,10 @@ anywhere, so every state evaluation below is exact.
 Vectors are stored as int numerators over one common denominator, and the
 action runs on them; Fractions appear only at read-out (`FockVector.coef` is
 the reduced one). The product and martingale checks never expand an operator
-product: they apply its factors to the vector from right to left.
+product: they apply its factors to the vector from right to left. An
+expression is applied factored on the leading letters of its words, so words
+that share a tail share its image: X(I)^p costs p passes over the vector, not
+one per word.
 """
 
 from __future__ import annotations
@@ -18,15 +21,17 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 Word = tuple[int, ...]
 KERNEL_DEPTH_CAP = 600  # a kernel-residual table rebuilds eta_d for every d, so it is cubic in depth
 # Most grid cells the Fock commands accept, checked before any work. Whole
-# processes at default flags, on a 2-CPU VM: freeness-check takes 7.9 / 34 s
-# at N = 8 / 12, and martingale-check 7.6 / 23 / 61 s (91 / 141 / 255 MB) at
-# N = 8 / 9 / 10. The moment tables run on one cell whatever N is.
+# processes at default flags, alpha = 1/2 and T = 1, on a 2-CPU VM:
+# freeness-check takes 5.9-7.2 / 27-29 s at N = 8 / 12, and martingale-check
+# 2.5-3.3 / 7.9 / 16 s (80 / 144 / 259 MB) at N = 8 / 9 / 10. The moment
+# tables run on one cell whatever N is.
 CELL_CAP = 8
 # Highest fock-moments --degree. The one-cell table gains a word per step and
 # its numerators grow with every step: whole processes with 4-digit rationals
@@ -34,10 +39,12 @@ CELL_CAP = 8
 # passes Python's 4,300-digit int-to-str limit.
 TABLE_DEGREE_CAP = 200
 # Highest martingale-check --n-max, for every N: at N = 8, --n-max 4 takes
-# 7.6 s and 5 takes 74 s (514 MB); at N = 3, 8 takes 1.0 s, 12 over 90 s.
+# 2.5-3.3 s and 5 takes 30 s (509 MB); at N = 3, 8 takes 0.8 s and 10 takes
+# 5.2 s (174 MB).
 MARTINGALE_DEGREE_CAP = 4
-# Most products freeness-check walks: 3,376 at N = 8, --max-len 3 (7.9-9.1 s;
-# --max-len 4, 47,280, runs past 90 s); at N = 2, 2,044 at --max-len 9 (9.6 s).
+# Most products freeness-check walks: 3,376 at N = 8, --max-len 3 (5.9-7.2 s;
+# --max-len 4, 47,280, takes 106-110 s); at N = 2, 2,044 at --max-len 9
+# (7.3-8.2 s).
 FREENESS_PRODUCT_CAP = 3376
 
 
@@ -47,6 +54,8 @@ class IntervalGrid:
 
     total_time: Fraction
     cells: int
+    # _act's multipliers per (alpha, weights), kept as long as the grid
+    _multipliers: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "total_time", Fraction(self.total_time))
@@ -55,7 +64,7 @@ class IntervalGrid:
         if self.cells < 1:
             raise ValueError("cells must be positive")
 
-    @property
+    @cached_property
     def cell_length(self) -> Fraction:
         return self.total_time / self.cells
 
@@ -132,12 +141,14 @@ def _act(grid: IntervalGrid, weights: dict[int, Fraction], alpha, ints: dict[Wor
     # the vacuum only creation fires. Coefficients stay Python ints: every
     # multiplier is scaled by the lcm of their denominators, so the result is
     # (ints, den * scale). The result may hold zero coefficients.
-    ell = grid.cell_length
-    drift = Fraction(alpha) * ell * sum(weights.values())
-    scale = math.lcm(drift.denominator, *(f.denominator for w in weights.values() for f in (w, w * ell)))
-    create = [(i, int(w * scale)) for i, w in weights.items()]
-    annihilate = {i: int(w * ell * scale) for i, w in weights.items()}
-    drift = int(drift * scale)
+    key = (alpha, tuple(weights.items()))
+    if key not in grid._multipliers:
+        ell = grid.cell_length
+        drift = Fraction(alpha) * ell * sum(weights.values())
+        scale = math.lcm(drift.denominator, *(f.denominator for w in weights.values() for f in (w, w * ell)))
+        grid._multipliers[key] = ([(i, int(w * scale)) for i, w in weights.items()],
+                                  {i: int(w * ell * scale) for i, w in weights.items()}, int(drift * scale), scale)
+    create, annihilate, drift, scale = grid._multipliers[key]
     # creation never forms the same word twice, so it fills the dict first
     out = {(i,) + w: k * c for w, c in ints.items() for i, k in create}
     for w, c in ints.items():
@@ -266,29 +277,56 @@ class OperatorExpr:
         return OperatorExpr.identity(self.grid).scaled(other)
 
     def apply(self, v: FockVector, alpha) -> FockVector:
-        """Linear extension over terms; each generator word acts right to left.
+        """E v, with E factored on the leading letters of its words.
 
-        All length-one words (a weighted sum of increments: the interval X of
-        `_orthogonal` in the martingale check and product lemma, `c_t_expr`,
-        and X(t) in `cond_exp_obstruction`) are handled in a single pass over
-        the vector. The terms are summed in integers over a common denominator.
+        E = c_() + sum_i X_i E_i, so E v = c_() v + sum_i X_i (E_i v), and
+        each tail E_i is applied by the same rule. Letters whose tails are
+        proportional share one weighted `_act` pass over the tail's image: a
+        weighted sum of increments is one pass and X(I)^p is p passes. Each
+        distinct tail, up to a scalar, is applied once per call, and the
+        terms are summed in integers over a common denominator.
         """
         if v.grid != self.grid:
             raise ValueError("grid mismatch")
         bad = [i for i in self.support_cells() if not 1 <= i <= self.grid.cells]
         if bad:
             raise ValueError(f"cell index {min(bad)} out of range 1..{self.grid.cells}")
-        ints, den = v.ints, v.den
-        singles = {w[0]: c for w, c in self.terms.items() if len(w) == 1}
-        out, out_den = _act(self.grid, singles, alpha, ints, den)
-        for w, c in self.terms.items():
-            if len(w) == 1:
-                continue
-            current = ints, den
-            for letter in reversed(w):
-                current = _act(self.grid, {letter: 1}, alpha, *current)
-            out_den = _accumulate(out, out_den, c, *current)
-        return FockVector._from_ints(self.grid, out, out_den)
+        return FockVector._from_ints(self.grid, *_image(self.grid, alpha, v, frozenset(self.terms.items()), {}))
+
+
+def _image(grid: IntervalGrid, alpha, v: FockVector, terms: frozenset, images: dict) -> tuple[dict[Word, int], int]:
+    # E v as (ints, den) for the expression E with these (word, coefficient)
+    # pairs; images holds each tail's image already computed. A plain function,
+    # not a closure, so that no reference cycle keeps the images alive.
+    if terms in images:
+        return images[terms]
+    const = 0
+    tails: dict[int, dict[Word, Fraction]] = {}
+    for w, c in terms:
+        if w:
+            tails.setdefault(w[0], {})[w[1:]] = c
+        else:
+            const = c
+    # letters grouped by their tail scaled to 1 on its least word
+    groups: dict[frozenset, dict[int, Fraction]] = {}
+    for i, tail in tails.items():
+        lead = tail[min(tail)]
+        unit = frozenset(tail.items() if lead == 1 else ((w, c / lead) for w, c in tail.items()))
+        groups.setdefault(unit, {})[i] = lead
+    if not groups and const == 1:
+        out, den = v.ints, v.den  # the identity: read only from here on
+    else:
+        out, den = {}, 1
+        for unit, weights in groups.items():
+            acted, acted_den = _act(grid, weights, alpha, *_image(grid, alpha, v, unit, images))
+            if out:
+                den = _accumulate(out, den, 1, acted, acted_den)
+            else:
+                out, den = acted, acted_den
+        if const:
+            den = _accumulate(out, den, const, v.ints, v.den)
+    images[terms] = out, den
+    return out, den
 
 
 def c_t_expr(grid: IntervalGrid, alpha) -> OperatorExpr:
@@ -305,6 +343,22 @@ def state_psi_t(expr: OperatorExpr, alpha) -> Fraction:
     """Secondary state: vacuum expectation of expr followed by 1 + alpha X(T)."""
     seeded = c_t_expr(expr.grid, alpha).apply(FockVector.vacuum(expr.grid), alpha)
     return expr.apply(seeded, alpha).vacuum_coefficient()
+
+
+def table_digits(alpha, total_time, degree: int) -> int:
+    """Most decimal digits of a numerator or denominator in the phi and psi tables.
+
+    phi_n sums at most 3^n Motzkin paths, each alpha^j T^m with j <= n - 2 and
+    m <= n, so psi_n = phi_n + alpha phi_(n+1) sums at most 2 * 3^(n+1) terms
+    with j <= n and m <= n + 1. Over the common denominator b^n d^(n+1), where
+    alpha = a/b and T = c/d, each term's numerator is at most
+    H(alpha)^n H(T)^(n+1), with H(p/q) = max(|p|, q).
+    """
+    def log_height(x: Fraction) -> float:
+        return math.log10(max(abs(x.numerator), x.denominator))
+
+    a, t = Fraction(alpha), Fraction(total_time)
+    return 1 + math.floor(math.log10(2) + (degree + 1) * (math.log10(3) + log_height(t)) + degree * log_height(a))
 
 
 def phi_moment_table(grid: IntervalGrid, alpha, degree: int) -> tuple[Fraction, ...]:

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import twostate
-from twostate import fock, partitions
+from twostate import cli, fock, partitions
 from twostate.cli import DENSITY_SAMPLE_CAP, main
 from twostate.cumulants import TRANSFORM_ORDER_CAP
 
@@ -148,13 +148,46 @@ class TestChecks:
 
     def test_selfcheck_quadrature_overflow_exits_2(self):
         # the quadrature item overflows a float at this alpha: one error line
-        # naming alpha and t, and no numpy warning before it
+        # naming the item, alpha and t, and no numpy warning before it; the
+        # other items still report
         argv = ["selfcheck", "--alpha", "1e160", "--T", "1", "--N", "2", "--order", "4"]
         result = run_fresh("-m", "twostate.cli", *argv)
         assert result.returncode == 2
-        assert result.stdout == ""
         (line,) = result.stderr.splitlines()
-        assert line.startswith("error:") and "alpha=1e+160, t=1" in line
+        assert line.startswith("error: quadrature-normalization: ") and "alpha=1e+160, t=1" in line
+        report = result.stdout.splitlines()
+        assert report[6] == "ERROR " + line.removeprefix("error: ")
+        assert report[-1] == "passed 11/12"
+        assert sum(row.startswith("ok ") for row in report) == 11
+
+    def test_selfcheck_keeps_its_report_when_an_item_raises(self, capsys):
+        code = main(["selfcheck", "--alpha", "1" + "0" * 400, "--T", "1"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.splitlines() == ["error: quadrature-normalization: integer division result too large for a float"]
+        report = captured.out.splitlines()
+        assert len(report) == 13 and report[-1] == "passed 11/12"
+        assert report[6] == "ERROR quadrature-normalization: integer division result too large for a float"
+        assert [row.split()[1] for row in report[:12] if row.startswith("ok ")] == [
+            "partition-counts", "transform-roundtrips", "cross-representation-moments", "mixed-moments-vs-fock",
+            "jacobi-shift-two-routes", "orthogonality-moment-identity", "qv-methods-agree", "freeness-sample",
+            "martingale-sample", "generator-residuals", "product-lemma-sample",
+        ]
+
+    def test_selfcheck_failure_outranks_an_item_that_raises(self, capsys, monkeypatch):
+        def fails():
+            assert False
+
+        def raises():
+            raise OverflowError("too large")
+
+        items = [("fails", fails), ("raises", raises), ("passes", lambda: None)]
+        monkeypatch.setattr(cli, "_selfcheck_items", lambda *args: items)
+        code = main(["selfcheck", "--alpha", "1", "--T", "1"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out.splitlines() == ["FAIL fails", "ERROR raises: too large", "ok passes", "passed 1/3"]
+        assert captured.err.splitlines() == ["error: raises: too large"]
 
 
 class TestVariationTable:
@@ -233,7 +266,8 @@ class TestPlumbing:
             ["density", "--measure", "nu", "--alpha", "1", "--t", "1e400", "--samples", "2"],
             ["variation-table", "--alpha", "1", "--beta", "1", "--T", "1e400", "--k", "1", "--N-list", "1"],
             ["norm-table", "--alpha", "1", "--beta", "1", "--T", "1e400", "--k", "1", "--n-max", "1", "--N", "2"],
-            ["selfcheck", "--alpha", "1e400", "--T", "1", "--N", "2", "--order", "4"],
+            ["fock-moments", "--alpha", "12345678901234567890/98765432109876543211",
+             "--T", "12345678901234567890/98765432109876543211", "--N", "1", "--degree", "200"],
             ["selfcheck", "--alpha", "1", "--T", "1", "--N", "0", "--order", "12"],
             ["density", "--measure", "ct", "--alpha", "1e-17", "--t", "1", "--samples", "3"],
             ["density", "--measure", "ct", "--alpha", "1e-400", "--t", "1", "--samples", "3"],
@@ -274,6 +308,9 @@ class TestPlumbing:
             (["generator-check", "--alpha", "1/3", "--n-max", "17"], "error: n-max must be at most 16, got 17"),
             (["fock-moments", "--alpha", "1", "--T", "1", "--N", "8", "--degree", "201"], "error: degree must be at most 200, got 201"),
             (["density", "--measure", "nu", "--alpha", "1", "--t", "1", "--samples", "10001"], "error: samples must be at most 10000, got 10001"),
+            (["fock-moments", "--alpha", "12345678901234567890/98765432109876543211",
+              "--T", "12345678901234567890/98765432109876543211", "--N", "1", "--degree", "200"],
+             "error: --degree 200 at this --alpha and --T can print 8115-digit numbers, past the 4300-digit limit of integer output"),
         ],
     )
     def test_count_caps_name_the_flag(self, capsys, argv, message):
@@ -288,6 +325,11 @@ class TestPlumbing:
             ["density", "--measure", "mu", "--alpha", "1", "--t", "4", "--samples", "100"],
             ["density", "--measure", "ct", "--alpha", "1/2", "--t", "1", "--samples", "150"],
             ["fock-moments", "--alpha", "1/2", "--T", "1", "--N", "8", "--degree", str(fock.TABLE_DEGREE_CAP)],
+            # 9- and 20-digit rationals pass the output-size check at these degrees
+            ["fock-moments", "--alpha", "987654321/123456789", "--T", "999999999/999999998", "--N", "2",
+             "--degree", str(fock.TABLE_DEGREE_CAP)],
+            ["fock-moments", "--alpha", "12345678901234567890/98765432109876543211",
+             "--T", "12345678901234567890/98765432109876543211", "--N", "1", "--degree", "100"],
         ],
     )
     def test_counts_at_or_below_the_caps_run(self, capsys, argv):

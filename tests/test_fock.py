@@ -28,6 +28,7 @@ from twostate.fock import (
     psi_moment_table,
     state_phi,
     state_psi_t,
+    table_digits,
 )
 from twostate.spectral import JacobiParams, jacobi_to_moments
 
@@ -145,8 +146,8 @@ class TestOperatorExpr:
         assert (x**3).terms == (x * x * x).terms
 
     def test_general_apply_matches_fast_path(self):
-        # route the same sum-of-increments through the one-pass branch and a
-        # forced word-by-word fold
+        # the same sum of increments squared in one factored apply and as two
+        # one-pass applies
         grid = IntervalGrid(F(1), 3)
         rng = random.Random(17)
         x = OperatorExpr.whole_interval(grid)
@@ -559,6 +560,14 @@ class TestProperties:
         assert phi_moment_table(grid, alpha, degree) == jacobi_to_moments(mu, degree)
         assert psi_moment_table(grid, alpha, degree) == jacobi_to_moments(nu, degree)
 
+    @settings(max_examples=40, deadline=None)
+    @given(alpha=alphas, t=times, degree=st.integers(1, 40))
+    def test_table_digits_bounds_every_printed_number(self, alpha, t, degree):
+        grid = IntervalGrid(t, 1)
+        table = phi_moment_table(grid, alpha, degree) + psi_moment_table(grid, alpha, degree)
+        digits = max(len(str(abs(x.numerator))) for x in table), max(len(str(x.denominator)) for x in table)
+        assert max(digits) <= table_digits(alpha, t, degree)
+
     @settings(max_examples=20, deadline=None)
     @given(alpha=alphas, t=times, seed=st.integers(0, 2**32))
     def test_apply_reads_out_reduced_fractions(self, alpha, t, seed):
@@ -614,3 +623,63 @@ class TestProperties:
         assert v.vacuum_coefficient() == ref_v.get((), F(0))
         assert FockVector(grid, v.coef) == v
         assert (FockVector(grid, ref_w) == v) == (ref_w == ref_v)
+
+
+ratios = st.fractions(-9, 9, max_denominator=12)
+nonzero_ratios = ratios.filter(bool)
+
+
+@st.composite
+def factored_cases(draw):
+    """A grid of N <= 3 cells, an expression and two vectors on it.
+
+    The expression has words of length <= 4, the empty word included. Some
+    leading letters share one tail exactly, some a multiple of it, and the
+    rest carry unrelated words, so every grouping case of the factored
+    evaluation occurs.
+    """
+    cells = draw(st.integers(1, 3))
+    word = st.lists(st.integers(1, cells), max_size=4).map(tuple)
+    grid = IntervalGrid(draw(st.fractions(F(1, 9), 5, max_denominator=12)), cells)
+    tail = draw(st.dictionaries(st.lists(st.integers(1, cells), max_size=3).map(tuple), nonzero_ratios, max_size=3))
+    terms = draw(st.dictionaries(word, ratios, max_size=6))
+    for letter in range(1, cells + 1):
+        kind = draw(st.sampled_from(("equal", "proportional", "unrelated")))
+        if kind != "unrelated":
+            factor = 1 if kind == "equal" else draw(nonzero_ratios)
+            terms.update({(letter,) + w: c * factor for w, c in tail.items()})
+    u, v = (FockVector(grid, draw(st.dictionaries(word, ratios, max_size=6))) for _ in range(2))
+    return OperatorExpr(grid, terms), u, v
+
+
+class TestFactoredApplyConsistency:
+    """Fock-route consistency: the factored `apply` against word-by-word references.
+
+    Both sides are the Fock route; this pins the factoring and the adjoint
+    inside it, it is not an oracle between routes.
+    """
+
+    @staticmethod
+    def word_by_word(expr, v, alpha):
+        # every word applied letter by letter from v, then the weighted sum
+        total = FockVector(expr.grid)
+        for word, c in expr.terms.items():
+            u = v
+            for letter in reversed(word):
+                u = OperatorExpr.increment(expr.grid, letter).apply(u, alpha)
+            total = total + u.scaled(c)
+        return total
+
+    @settings(max_examples=80, deadline=None)
+    @given(case=factored_cases(), alpha=alphas)
+    def test_factored_apply_matches_word_by_word(self, case, alpha):
+        expr, _, v = case
+        assert expr.apply(v, alpha) == self.word_by_word(expr, v, alpha)
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=factored_cases(), alpha=alphas)
+    def test_adjoint_moves_across_the_inner_product(self, case, alpha):
+        # <u, B v> = <B* u, v>; a cell-symmetric vector such as Q_n(X(s)) Omega
+        # cannot see a dropped word reversal, random u and v can
+        expr, u, v = case
+        assert u.inner(expr.apply(v, alpha)) == expr.adjoint().apply(u, alpha).inner(v)
