@@ -9,11 +9,12 @@ anywhere, so every state evaluation below is exact.
 
 Vectors are stored as int numerators over one common denominator, and the
 action runs on them; Fractions appear only at read-out (`FockVector.coef` is
-the reduced one). The product and martingale checks never expand an operator
-product: they apply its factors to the vector from right to left. An
-expression is applied factored on the leading letters of its words, so words
-that share a tail share its image: X(I)^p costs p passes over the vector, not
-one per word.
+the reduced one). The product checks never expand an operator product: they
+apply its factors to the vector from right to left. The martingale and
+conditional-expectation checks read phi[B* Y] as <B Omega, Y Omega>, so the
+adjoint of the past B is never applied. An expression is applied factored on
+the leading letters of its words, so words that share a tail share its image:
+X(I)^p costs p passes over the vector, not one per word.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ KERNEL_DEPTH_CAP = 600  # a kernel-residual table rebuilds eta_d for every d, so
 # Most grid cells the Fock commands accept, checked before any work. Whole
 # processes at default flags, alpha = 1/2 and T = 1, on a 2-CPU VM:
 # freeness-check takes 5.9-7.2 / 27-29 s at N = 8 / 12, and martingale-check
-# 2.5-3.3 / 7.9 / 16 s (80 / 144 / 259 MB) at N = 8 / 9 / 10. The moment
+# 0.5-0.8 / 1.2 / 1.8-2.0 s (18 / 19 / 20 MB) at N = 8 / 9 / 10. The moment
 # tables run on one cell whatever N is.
 CELL_CAP = 8
 # Highest fock-moments --degree. The one-cell table gains a word per step and
@@ -39,8 +40,8 @@ CELL_CAP = 8
 # passes Python's 4,300-digit int-to-str limit.
 TABLE_DEGREE_CAP = 200
 # Highest martingale-check --n-max, for every N: at N = 8, --n-max 4 takes
-# 2.5-3.3 s and 5 takes 30 s (509 MB); at N = 3, 8 takes 0.8 s and 10 takes
-# 5.2 s (174 MB).
+# 0.8 s and 5 takes 3.4-3.7 s (28 MB); at N = 3, 8 takes 0.5-0.6 s and 10
+# takes 3.5 s (45 MB).
 MARTINGALE_DEGREE_CAP = 4
 # Most products freeness-check walks: 3,376 at N = 8, --max-len 3 (5.9-7.2 s;
 # --max-len 4, 47,280, takes 106-110 s); at N = 2, 2,044 at --max-len 9
@@ -507,22 +508,23 @@ def freeness_check(grid: IntervalGrid, alpha, factors) -> FreenessReport:
     )
 
 
-def _past_adjoint(grid: IntervalGrid, t_cells: int, s_cells: int, past: OperatorExpr) -> OperatorExpr:
-    # B* for a past B: grid times t < s, and B supported before t
+def _past_vacuum(grid: IntervalGrid, alpha, t_cells: int, s_cells: int, past: OperatorExpr) -> FockVector:
+    # B Omega for a past B: grid times t < s, and B supported before t. Then
+    # phi[B* Y] = <Omega, B* Y Omega> = <B Omega, Y Omega>, so no B* is built.
     if not 1 <= t_cells < s_cells <= grid.cells:
         raise ValueError("need grid times t < s inside the grid")
     if any(i > t_cells for i in past.support_cells()):
         raise ValueError(f"operator touches increments at or beyond cell {t_cells}")
-    return past.adjoint()
+    return past.apply(FockVector.vacuum(grid), alpha)
 
 
 def martingale_check(grid: IntervalGrid, alpha, degree: int, t_cells: int, s_cells: int, past: OperatorExpr) -> tuple[Fraction, Fraction]:
     """(phi[B* Q_n(X(s), s)], phi[B* Q_n(X(t), t)]) for B supported before t."""
-    b_star = _past_adjoint(grid, t_cells, s_cells, past)
+    b_vacuum = _past_vacuum(grid, alpha, t_cells, s_cells, past)
     vacuum = FockVector.vacuum(grid)
     q_s, q_t = (_orthogonal(grid, 1, cells, degree, alpha, "q", vacuum, lambda x, u: x.apply(u, alpha))
                 for cells in (s_cells, t_cells))
-    return (b_star.apply(q_s, alpha).vacuum_coefficient(), b_star.apply(q_t, alpha).vacuum_coefficient())
+    return (b_vacuum.inner(q_s), b_vacuum.inner(q_t))
 
 
 def cond_exp_obstruction(grid: IntervalGrid, alpha, t_cells: int, s_cells: int, past: OperatorExpr) -> tuple[Fraction, Fraction]:
@@ -533,13 +535,13 @@ def cond_exp_obstruction(grid: IntervalGrid, alpha, t_cells: int, s_cells: int, 
     E[X(s)] X(t) = X(t)^2: the obstruction to a phi-preserving conditional
     expectation.
     """
-    b_star = _past_adjoint(grid, t_cells, s_cells, past)
+    b_vacuum = _past_vacuum(grid, alpha, t_cells, s_cells, past)
     x_s = OperatorExpr.interval(grid, 1, s_cells)
     x_t = OperatorExpr.interval(grid, 1, t_cells)
     shift = Fraction(alpha) * grid.cell_length * (s_cells - t_cells)
     # X(t)^2 + alpha (s-t) X(t) = (X(t) + alpha (s-t)) X(t)
     x_t_vacuum = x_t.apply(FockVector.vacuum(grid), alpha)
-    return (_vacuum_state([b_star, x_s], alpha, x_t_vacuum), _vacuum_state([b_star, x_t + shift], alpha, x_t_vacuum))
+    return (b_vacuum.inner(x_s.apply(x_t_vacuum, alpha)), b_vacuum.inner((x_t + shift).apply(x_t_vacuum, alpha)))
 
 
 def _eta(grid: IntervalGrid, a: Fraction, depth: int) -> FockVector:

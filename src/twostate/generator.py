@@ -11,10 +11,11 @@ one ladder builds q, nu, mu and each L image once for every degree it checks.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .poly import BivariatePolynomial, difference_quotient
+from .poly import BivariatePolynomial
 
 POLY_DEGREE_CAP = 16
 SERIES_ORDER_CAP = 12
@@ -90,13 +91,18 @@ def l_apply(f: BivariatePolynomial, measure_moments) -> BivariatePolynomial:
     needed = f.x_degree() - 1
     if needed > len(measure_moments):
         raise ValueError(f"need {needed} moments, got {len(measure_moments)}")
-    out: dict[tuple[int, int], Fraction] = {}
-    for (dx, dy, dt), c in difference_quotient(f).items():
-        moment = measure_moments[dy - 1].coeffs if dy else {(0, 0): 1}
-        for (mx, mt), m in moment.items():
-            key = (dx + mx, dt + mt)
-            out[key] = out.get(key, 0) + c * m
-    return BivariatePolynomial(out)
+    # moments 0..needed as numerators over the lcm of their denominators
+    used = measure_moments[: max(needed, 0)]
+    den = math.lcm(*(m.den for m in used))
+    scaled = [{(0, 0): den}] + [{k: n * (den // m.den) for k, n in m.ints.items()} for m in used]
+    out: dict[tuple[int, int], int] = {}
+    # x^k -> sum_{i+j=k-1} x^i y^j per monomial (see `difference_quotient`), y^j -> moment j
+    for (dx, dt), c in f.ints.items():
+        for i in range(dx):
+            for (mx, mt), m in scaled[dx - 1 - i].items():
+                key = (i + mx, dt + mt)
+                out[key] = out.get(key, 0) + c * m
+    return BivariatePolynomial._from_ints(out, f.den * den)
 
 
 def _generator(f: BivariatePolynomial, a: Fraction, l_nu, l_mu) -> BivariatePolynomial:

@@ -134,6 +134,14 @@ class TestChecks:
         assert all(row["residual_is_zero"] for row in rows)
         assert [row["n"] for row in rows] == list(range(7))
 
+    def test_generator_big_rational_alpha(self, capsys):
+        # 20-digit numerator and denominator carried through the ladder to degree 16
+        code, out = run(capsys, "generator-check", "--alpha", "12345678901234567891/98765432109876543210", "--n-max", "16")
+        assert code == 0
+        rows = [json.loads(line) for line in out.strip().splitlines()]
+        assert [row["n"] for row in rows] == list(range(17))
+        assert all(row["residual_is_zero"] for row in rows)
+
     def test_kernel(self, capsys):
         code, out = run(capsys, "kernel-residual", "--alpha", "1", "--t", "4", "--depth", "10")
         assert code == 0

@@ -31,6 +31,7 @@ GOLDEN = [
     ("kernel-residual --alpha 1 --t 1/2 --depth 8", 0, "4b53780b91b1bafb0045cce607d4a7614ee0bd789c006c336db590856ff7a4dd"),
     ("selfcheck --alpha 1 --T 1 --N 3 --order 6", 0, "be6171f0aad5dcc119c30a00d2beb7301a3dbba3e696077f41c6440d087878c1"),
     ("fock-moments --alpha 9973/9998 --T 9967/9931 --N 8 --degree 12", 0, "85cdc5172a3684cbec782f94cf928bf9cdc23d86d575ccdd75612f1adbdf5eb6"),
+    ("generator-check --alpha 1/2 --n-max 16", 0, "aefaa8044a30a72ae937f14bc5396f3f3bae31118be61f3aef0c1c24467e7e3c"),
 ]
 
 

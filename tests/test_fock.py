@@ -389,6 +389,18 @@ class TestMartingale:
         with pytest.raises(ValueError):
             martingale_check(grid, F(1), 1, 1, 3, OperatorExpr.increment(grid, 2))
 
+    @pytest.mark.parametrize("check", [lambda g, t, s, b: martingale_check(g, F(1), 2, t, s, b),
+                                       lambda g, t, s, b: cond_exp_obstruction(g, F(1), t, s, b)],
+                             ids=["martingale_check", "cond_exp_obstruction"])
+    def test_both_sides_check_times_and_support_first(self, check):
+        grid = IntervalGrid(F(1), 3)
+        x1, x3 = OperatorExpr.increment(grid, 1), OperatorExpr.increment(grid, 3)
+        for t_cells, s_cells in [(2, 2), (3, 2), (0, 2), (2, 4)]:
+            with pytest.raises(ValueError, match="^need grid times t < s inside the grid$"):
+                check(grid, t_cells, s_cells, x1)
+        with pytest.raises(ValueError, match="^operator touches increments at or beyond cell 2$"):
+            check(grid, 2, 3, x1 * x3)
+
     def test_martingale_expr_is_orthogonal_polynomial(self):
         # q_n applied to the vacuum is the pure tensor, so phi[q_n] = 0
         grid = IntervalGrid(F(1), 4)
@@ -488,8 +500,10 @@ class TestRightToLeftMatchesExpandedProduct:
     """The checks apply their factors to a vector right to left.
 
     Each value must equal the state of the expanded OperatorExpr product built
-    by __mul__. Both sides are the Fock route, so this pins the evaluation
-    order inside that route; it is not an oracle between routes.
+    by __mul__; the martingale and cond-exp sides pair B Omega with the rest
+    by the inner product, and the expected values build B* by `adjoint`.
+    Both sides are the Fock route, so this pins the evaluation order inside
+    that route; it is not an oracle between routes.
     """
 
     grid = IntervalGrid(F(9967, 9931), 3)

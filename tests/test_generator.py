@@ -1,7 +1,8 @@
+import math
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from twostate import generator
@@ -50,6 +51,124 @@ class TestPolynomialArithmetic:
     def test_zero_pruning(self):
         assert (X - X).is_zero()
         assert not (X + T).is_zero()
+
+
+def _canonical(p: BivariatePolynomial) -> BivariatePolynomial:
+    # the stored form: int numerators over one positive denominator, lowest terms, no zeros
+    assert type(p.den) is int and p.den > 0
+    assert all(type(n) is int and n for n in p.ints.values())
+    assert math.gcd(p.den, *p.ints.values()) == 1
+    for c in p.coeffs.values():
+        assert type(c) is F and c.denominator > 0 and math.gcd(c.numerator, c.denominator) == 1
+    return p
+
+
+# A plain dict -> Fraction reference for every operation of the int form.
+def _ref_add(a, b, sign=1):
+    out = dict(a)
+    for k, c in b.items():
+        out[k] = out.get(k, 0) + sign * c
+    return {k: c for k, c in out.items() if c}
+
+
+def _ref_mul(a, b):
+    out = {}
+    for (ax, at), ac in a.items():
+        for (bx, bt), bc in b.items():
+            out[(ax + bx, at + bt)] = out.get((ax + bx, at + bt), 0) + ac * bc
+    return {k: c for k, c in out.items() if c}
+
+
+def _ref_pow(a, e):
+    out = {(0, 0): F(1)}
+    for _ in range(e):
+        out = _ref_mul(out, a)
+    return out
+
+
+def _ref_substitute_t(a, v):
+    out = {}
+    for (dx, dt), c in a.items():
+        out[(dx, 0)] = out.get((dx, 0), 0) + c * v**dt
+    return {k: c for k, c in out.items() if c}
+
+
+def _ref_substitute_x(a, r):
+    out = {}
+    for (dx, dt), c in a.items():
+        out = _ref_add(out, _ref_mul(_ref_pow(r, dx), {(0, dt): c}))
+    return out
+
+
+SMALL = st.fractions(-7, 7, max_denominator=30)
+# numerators and denominators of about 20 digits
+BIG = st.builds(F, st.integers(-(10**21), 10**21), st.integers(10**19, 10**21))
+COEFS = st.one_of(SMALL, BIG, st.integers(-5, 5).map(F))
+POLYS = st.dictionaries(st.tuples(st.integers(0, 4), st.integers(0, 4)), COEFS, max_size=6)
+BIG_EXAMPLE = {(1, 0): F(12345678901234567891, 98765432109876543210), (0, 2): F(-7, 98765432109876543211)}
+
+
+class TestIntForm:
+    @settings(max_examples=60, deadline=None)
+    @example(a=BIG_EXAMPLE, b={(1, 0): F(-12345678901234567891, 98765432109876543210), (2, 1): F(1, 3)}, s=F(98765432109876543210, 7))
+    @given(a=POLYS, b=POLYS, s=COEFS)
+    def test_ring_operations_match_fraction_reference(self, a, b, s):
+        p, q = _canonical(BivariatePolynomial(a)), _canonical(BivariatePolynomial(b))
+        ref_a = {k: c for k, c in a.items() if c}
+        ref_b = {k: c for k, c in b.items() if c}
+        assert p.coeffs == ref_a
+        assert _canonical(p + q).coeffs == _ref_add(ref_a, ref_b)
+        assert _canonical(p - q).coeffs == _ref_add(ref_a, ref_b, -1)
+        assert _canonical(p * q).coeffs == _ref_mul(ref_a, ref_b)
+        assert _canonical(p * s).coeffs == _canonical(s * p).coeffs == _ref_mul(ref_a, {(0, 0): s} if s else {})
+        assert _canonical(p + s).coeffs == _ref_add(ref_a, {(0, 0): s})
+        assert _canonical(s - p).coeffs == _ref_add({(0, 0): s} if s else {}, ref_a, -1)
+        assert _canonical(-p).coeffs == _ref_add({}, ref_a, -1)
+        assert _canonical(p**2).coeffs == _ref_pow(ref_a, 2)
+
+    @settings(max_examples=60, deadline=None)
+    @example(a=BIG_EXAMPLE, r={(1, 0): F(1), (0, 1): F(-12345678901234567891, 98765432109876543210)},
+             v=F(98765432109876543211, 12345678901234567891))
+    @given(a=POLYS, r=st.dictionaries(st.tuples(st.integers(0, 2), st.integers(0, 2)), COEFS, max_size=3), v=COEFS)
+    def test_calculus_and_substitution_match_fraction_reference(self, a, r, v):
+        p = BivariatePolynomial(a)
+        ref_a = {k: c for k, c in a.items() if c}
+        ref_r = {k: c for k, c in r.items() if c}
+        assert _canonical(p.d_dx()).coeffs == _ref_add({}, {(dx - 1, dt): c * dx for (dx, dt), c in ref_a.items() if dx})
+        assert _canonical(p.d_dt()).coeffs == _ref_add({}, {(dx, dt - 1): c * dt for (dx, dt), c in ref_a.items() if dt})
+        assert _canonical(p.substitute_t(v)).coeffs == _ref_substitute_t(ref_a, v)
+        assert _canonical(p.substitute_x(BivariatePolynomial(r))).coeffs == _ref_substitute_x(ref_a, ref_r)
+        assert p.evaluate(v, 2) == sum((c * v**dx * 2**dt for (dx, dt), c in ref_a.items()), F(0))
+        for dx, coefficient in enumerate(_canonical(c) for c in p.x_coefficients()):
+            assert coefficient.coeffs == {(0, dt): c for (x2, dt), c in ref_a.items() if x2 == dx}
+        assert difference_quotient(p) == {(i, dx - 1 - i, dt): c for (dx, dt), c in ref_a.items() for i in range(dx)}
+
+    @settings(max_examples=60, deadline=None)
+    @example(a=BIG_EXAMPLE, b={(0, 0): F(1, 98765432109876543210)}, c=BIG_EXAMPLE, s=F(-98765432109876543210, 3))
+    @given(a=POLYS, b=POLYS, c=POLYS, s=COEFS.filter(bool))
+    def test_equal_values_from_different_paths_are_equal_and_hash_equal(self, a, b, c, s):
+        p, q, r = BivariatePolynomial(a), BivariatePolynomial(b), BivariatePolynomial(c)
+        pairs = [
+            ((p + q) * r, p * r + q * r),
+            ((p * s) * (1 / s), p),
+            (p - p, BivariatePolynomial.zero()),
+            ((p + q) - q, p),
+            ((p * q).d_dx(), p.d_dx() * q + p * q.d_dx()),
+            (BivariatePolynomial((p * s).coeffs) * (1 / s), BivariatePolynomial(a)),
+        ]
+        for left, right in pairs:
+            assert _canonical(left) == _canonical(right)
+            assert hash(left) == hash(right)
+            assert (left.ints, left.den) == (right.ints, right.den)
+
+    def test_constructor_converts_and_rejects_negative_degrees(self):
+        p = BivariatePolynomial({(1, 0): 2, (0, 1): 0.5, (0, 0): "3/4", (2, 2): 0})
+        assert p.coeffs == {(1, 0): F(2), (0, 1): F(1, 2), (0, 0): F(3, 4)}
+        assert (p.ints, p.den) == ({(1, 0): 8, (0, 1): 2, (0, 0): 3}, 4)
+        assert (BivariatePolynomial.zero().ints, BivariatePolynomial.zero().den) == ({}, 1)
+        for key in [(-1, 0), (0, -1)]:
+            with pytest.raises(ValueError):
+                BivariatePolynomial({key: 1})
 
 
 class TestDifferenceQuotient:
@@ -197,6 +316,19 @@ class TestGenerator:
         for alpha in ALPHAS:
             for n in range(13):
                 assert time_derivative_residual(n, alpha).is_zero(), (alpha, n)
+
+    @pytest.mark.parametrize("alpha", [F(1, 2), F(-3, 7), F(12345678901234567891, 98765432109876543210)])
+    def test_wrong_families_leave_a_nonzero_residual(self, alpha):
+        # the residual oracle must reject near misses at every degree, not pass vacuously
+        q = q_polynomials(16, alpha)
+        off = q_polynomials(16, alpha + F(1, 3))
+        for n in range(2, 17):
+            wrong_alpha = off[n].d_dt() + generator_apply(off[n], alpha)
+            assert not wrong_alpha.is_zero(), (alpha, n)
+            # A_t is linear over polynomials in t, so the residual of q_n + t q_(n-2) is q_(n-2)
+            shifted = q[n] + T * q[n - 2]
+            wrong_term = shifted.d_dt() + generator_apply(shifted, alpha)
+            assert not wrong_term.is_zero() and wrong_term == q[n - 2], (alpha, n)
 
     @pytest.mark.parametrize("n", [17, -1, -3])
     def test_degree_cap(self, n):
