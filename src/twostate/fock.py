@@ -13,8 +13,8 @@ the reduced one). The product checks never expand an operator product: they
 apply its factors to the vector from right to left. The martingale and
 conditional-expectation checks read phi[B* Y] as <B Omega, Y Omega>, so the
 adjoint of the past B is never applied. An expression is applied factored on
-the leading letters of its words, so words that share a tail share its image:
-X(I)^p costs p passes over the vector, not one per word.
+the leading letters of its words, and letters with equal tails share one pass
+over the tail's image: X(I)^p costs p passes over the vector, not one per word.
 """
 
 from __future__ import annotations
@@ -55,7 +55,8 @@ class IntervalGrid:
 
     total_time: Fraction
     cells: int
-    # _act's multipliers per (alpha, weights), kept as long as the grid
+    # _act's (down, drift, scale) per (alpha, number of letters): the cells
+    # are equal, so the letters matter only through their number
     _multipliers: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -136,29 +137,27 @@ class FockVector:
         return NotImplemented
 
 
-def _act(grid: IntervalGrid, weights: dict[int, Fraction], alpha, ints: dict[Word, int], den: int) -> tuple[dict[Word, int], int]:
-    # Apply sum_i weights[i] * X(I_i) once to the vector ints / den: creation
+def _act(grid: IntervalGrid, letters: set[int], alpha, ints: dict[Word, int], den: int) -> tuple[dict[Word, int], int]:
+    # Apply sum_{i in letters} X(I_i) once to the vector ints / den: creation
     # of each i, the alpha * length drift, and annihilation of a leading i; on
-    # the vacuum only creation fires. Coefficients stay Python ints: every
-    # multiplier is scaled by the lcm of their denominators, so the result is
-    # (ints, den * scale). The result may hold zero coefficients.
-    key = (alpha, tuple(weights.items()))
+    # the vacuum only creation fires. Coefficients stay Python ints: the
+    # multipliers are scaled by the lcm of their denominators, so the result
+    # is (ints, den * scale). The result may hold zero coefficients.
+    key = (alpha, len(letters))
     if key not in grid._multipliers:
         ell = grid.cell_length
-        drift = Fraction(alpha) * ell * sum(weights.values())
-        scale = math.lcm(drift.denominator, *(f.denominator for w in weights.values() for f in (w, w * ell)))
-        grid._multipliers[key] = ([(i, int(w * scale)) for i, w in weights.items()],
-                                  {i: int(w * ell * scale) for i, w in weights.items()}, int(drift * scale), scale)
-    create, annihilate, drift, scale = grid._multipliers[key]
+        drift = Fraction(alpha) * ell * len(letters)
+        scale = math.lcm(drift.denominator, ell.denominator)
+        grid._multipliers[key] = (int(ell * scale), int(drift * scale), scale)
+    down, drift, scale = grid._multipliers[key]
     # creation never forms the same word twice, so it fills the dict first
-    out = {(i,) + w: k * c for w, c in ints.items() for i, k in create}
+    out = {(i,) + w: scale * c for w, c in ints.items() for i in letters}
     for w, c in ints.items():
         if w:
             if drift:
                 out[w] = out.get(w, 0) + drift * c
-            k = annihilate.get(w[0])
-            if k:
-                out[w[1:]] = out.get(w[1:], 0) + k * c
+            if w[0] in letters:
+                out[w[1:]] = out.get(w[1:], 0) + down * c
     return out, den * scale
 
 
@@ -281,26 +280,22 @@ class OperatorExpr:
         """E v, with E factored on the leading letters of its words.
 
         E = c_() + sum_i X_i E_i, so E v = c_() v + sum_i X_i (E_i v), and
-        each tail E_i is applied by the same rule. Letters whose tails are
-        proportional share one weighted `_act` pass over the tail's image: a
-        weighted sum of increments is one pass and X(I)^p is p passes. Each
-        distinct tail, up to a scalar, is applied once per call, and the
-        terms are summed in integers over a common denominator.
+        each tail E_i is applied by the same rule. Letters with equal tails
+        share one `_act` pass over the tail's image: a sum of increments is
+        one pass and X(I)^p is p passes. The terms are summed in integers
+        over a common denominator.
         """
         if v.grid != self.grid:
             raise ValueError("grid mismatch")
         bad = [i for i in self.support_cells() if not 1 <= i <= self.grid.cells]
         if bad:
             raise ValueError(f"cell index {min(bad)} out of range 1..{self.grid.cells}")
-        return FockVector._from_ints(self.grid, *_image(self.grid, alpha, v, frozenset(self.terms.items()), {}))
+        return FockVector._from_ints(self.grid, *_image(self.grid, alpha, v, self.terms.items()))
 
 
-def _image(grid: IntervalGrid, alpha, v: FockVector, terms: frozenset, images: dict) -> tuple[dict[Word, int], int]:
+def _image(grid: IntervalGrid, alpha, v: FockVector, terms) -> tuple[dict[Word, int], int]:
     # E v as (ints, den) for the expression E with these (word, coefficient)
-    # pairs; images holds each tail's image already computed. A plain function,
-    # not a closure, so that no reference cycle keeps the images alive.
-    if terms in images:
-        return images[terms]
+    # pairs; letters whose tails are equal are grouped into one _act pass
     const = 0
     tails: dict[int, dict[Word, Fraction]] = {}
     for w, c in terms:
@@ -308,25 +303,20 @@ def _image(grid: IntervalGrid, alpha, v: FockVector, terms: frozenset, images: d
             tails.setdefault(w[0], {})[w[1:]] = c
         else:
             const = c
-    # letters grouped by their tail scaled to 1 on its least word
-    groups: dict[frozenset, dict[int, Fraction]] = {}
+    groups: dict[frozenset, set[int]] = {}
     for i, tail in tails.items():
-        lead = tail[min(tail)]
-        unit = frozenset(tail.items() if lead == 1 else ((w, c / lead) for w, c in tail.items()))
-        groups.setdefault(unit, {})[i] = lead
+        groups.setdefault(frozenset(tail.items()), set()).add(i)
     if not groups and const == 1:
-        out, den = v.ints, v.den  # the identity: read only from here on
-    else:
-        out, den = {}, 1
-        for unit, weights in groups.items():
-            acted, acted_den = _act(grid, weights, alpha, *_image(grid, alpha, v, unit, images))
-            if out:
-                den = _accumulate(out, den, 1, acted, acted_den)
-            else:
-                out, den = acted, acted_den
-        if const:
-            den = _accumulate(out, den, const, v.ints, v.den)
-    images[terms] = out, den
+        return v.ints, v.den  # the identity: read only from here on
+    out, den = {}, 1
+    for tail, letters in groups.items():
+        acted, acted_den = _act(grid, letters, alpha, *_image(grid, alpha, v, tail))
+        if out:
+            den = _accumulate(out, den, 1, acted, acted_den)
+        else:
+            out, den = acted, acted_den
+    if const:
+        den = _accumulate(out, den, const, v.ints, v.den)
     return out, den
 
 
@@ -373,7 +363,7 @@ def phi_moment_table(grid: IntervalGrid, alpha, degree: int) -> tuple[Fraction, 
     ints, den = {(): 1}, 1
     out = []
     for _ in range(degree):
-        ints, den = _act(one, {1: 1}, alpha, ints, den)
+        ints, den = _act(one, {1}, alpha, ints, den)
         out.append(Fraction(ints.get((), 0), den))
     return tuple(out)
 
@@ -468,16 +458,8 @@ class FreenessReport:
     phi_factors: tuple[Fraction, ...]
 
     @property
-    def psi_vanishes(self) -> bool:
-        return self.psi_of_product == 0
-
-    @property
-    def phi_factorizes(self) -> bool:
-        return self.phi_of_product == math.prod(self.phi_factors)
-
-    @property
     def ok(self) -> bool:
-        return self.psi_vanishes and self.phi_factorizes
+        return self.psi_of_product == 0 and self.phi_of_product == math.prod(self.phi_factors)
 
 
 def freeness_check(grid: IntervalGrid, alpha, factors) -> FreenessReport:
@@ -544,8 +526,11 @@ def cond_exp_obstruction(grid: IntervalGrid, alpha, t_cells: int, s_cells: int, 
     return (b_vacuum.inner(x_s.apply(x_t_vacuum, alpha)), b_vacuum.inner((x_t + shift).apply(x_t_vacuum, alpha)))
 
 
-def _eta(grid: IntervalGrid, a: Fraction, depth: int) -> FockVector:
-    # eta_D = sum_{n<=D} (-1/(aT))^n chi^{(x)n}; n runs down, so den is q^D from the first term
+def _eta(grid: IntervalGrid, alpha, depth: int) -> FockVector:
+    # eta_D = sum_{n<=D} (-1/(alpha T))^n chi^{(x)n}; n runs down, so den is q^D from the first term
+    a = Fraction(alpha)
+    if a == 0:
+        raise ValueError("alpha must be nonzero")
     ratio = -1 / (a * grid.total_time)
     ints, den = {}, 1
     for n in range(depth, -1, -1):
@@ -557,10 +542,7 @@ def kernel_vector(grid: IntervalGrid, alpha, depth: int) -> FockVector:
     """Truncated geometric kernel candidate sum_{n<=D} (-1/(alpha t))^n chi^{(x) n}."""
     if grid.cells != 1:
         raise ValueError("the kernel vector lives on a single-cell grid")
-    a = Fraction(alpha)
-    if a == 0:
-        raise ValueError("alpha must be nonzero")
-    return _eta(grid, a, depth)
+    return _eta(grid, alpha, depth)
 
 
 def kernel_residual(alpha, t, depth: int) -> float:
@@ -578,13 +560,10 @@ def kernel_shift_vacuum_pairing(alpha, t, s_cells: int, cells: int, depth: int) 
     eta_D is re-expanded over the refined grid so that X(s), an earlier chunk
     of the interval, can act on it.
     """
-    a = Fraction(alpha)
-    if a == 0:
-        raise ValueError("alpha must be nonzero")
     if not 1 <= s_cells < cells:
         raise ValueError("need 1 <= s_cells < cells")
     grid = IntervalGrid(Fraction(t), cells)
-    eta = _eta(grid, a, depth)
+    eta = _eta(grid, alpha, depth)
     s = Fraction(t) * s_cells / cells
-    shifted = OperatorExpr.interval(grid, 1, s_cells) + OperatorExpr.identity(grid).scaled(s / (a * Fraction(t)))
+    shifted = OperatorExpr.interval(grid, 1, s_cells) + OperatorExpr.identity(grid).scaled(s / (Fraction(alpha) * Fraction(t)))
     return shifted.apply(eta, alpha).vacuum_coefficient()

@@ -96,7 +96,7 @@ def l_apply(f: BivariatePolynomial, measure_moments) -> BivariatePolynomial:
     den = math.lcm(*(m.den for m in used))
     scaled = [{(0, 0): den}] + [{k: n * (den // m.den) for k, n in m.ints.items()} for m in used]
     out: dict[tuple[int, int], int] = {}
-    # x^k -> sum_{i+j=k-1} x^i y^j per monomial (see `difference_quotient`), y^j -> moment j
+    # (f(x) - f(y)) / (x - y) per monomial: x^k -> sum_{i+j=k-1} x^i y^j, then y^j -> moment j
     for (dx, dt), c in f.ints.items():
         for i in range(dx):
             for (mx, mt), m in scaled[dx - 1 - i].items():

@@ -178,13 +178,3 @@ class BivariatePolynomial:
                 term += f"*t^{dt}" if dt > 1 else "*t"
             parts.append(term)
         return " + ".join(parts)
-
-
-def difference_quotient(f: BivariatePolynomial) -> dict[tuple[int, int, int], Fraction]:
-    """(f(x,t) - f(y,t)) / (x - y) expanded exactly.
-
-    Returns a sparse map (x-degree, y-degree, t-degree) -> coefficient, using
-    x^k -> sum_{i+j=k-1} x^i y^j applied per monomial. Each key comes from one
-    monomial of f, so no two terms meet and none cancels.
-    """
-    return {(i, dx - 1 - i, dt): Fraction(n, f.den) for (dx, dt), n in f.ints.items() for i in range(dx)}

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from twostate import fock
 from twostate.cumulants import brownian_family, mixed_moment
 from twostate.fock import (
     FockVector,
@@ -648,9 +649,9 @@ def factored_cases(draw):
     """A grid of N <= 3 cells, an expression and two vectors on it.
 
     The expression has words of length <= 4, the empty word included. Some
-    leading letters share one tail exactly, some a multiple of it, and the
-    rest carry unrelated words, so every grouping case of the factored
-    evaluation occurs.
+    leading letters share one tail exactly, and so one `_act` pass; some carry
+    only a multiple of it, which takes its own pass; the rest carry unrelated
+    words. So every grouping case of the factored evaluation occurs.
     """
     cells = draw(st.integers(1, 3))
     word = st.lists(st.integers(1, cells), max_size=4).map(tuple)
@@ -697,3 +698,45 @@ class TestFactoredApplyConsistency:
         # cannot see a dropped word reversal, random u and v can
         expr, u, v = case
         assert u.inner(expr.apply(v, alpha)) == expr.adjoint().apply(u, alpha).inner(v)
+
+
+class TestPassCount:
+    """`_act` passes over the vector per `apply`: letters with equal tails share one."""
+
+    @pytest.fixture
+    def passes(self, monkeypatch):
+        count = [0]
+        act = fock._act
+
+        def counted(*args):
+            count[0] += 1
+            return act(*args)
+
+        monkeypatch.setattr(fock, "_act", counted)
+        return count
+
+    @pytest.mark.parametrize("cells", [1, 2, 3, 4])
+    def test_interval_power_costs_one_pass_per_factor(self, passes, cells):
+        grid = IntervalGrid(F(1), cells)
+        for lo, hi in itertools.combinations_with_replacement(range(1, cells + 1), 2):
+            x = OperatorExpr.interval(grid, lo, hi)
+            for p in range(5):
+                passes[0] = 0
+                (x**p).apply(FockVector.vacuum(grid), F(1, 2))
+                assert passes[0] == p, (lo, hi, p)
+
+    @pytest.mark.parametrize("cells", [1, 2, 3, 4])
+    def test_psi_seed_costs_one_pass(self, passes, cells):
+        grid = IntervalGrid(F(3, 2), cells)
+        c_t_expr(grid, F(-2, 3)).apply(FockVector.vacuum(grid), F(-2, 3))
+        assert passes[0] == 1
+
+    @pytest.mark.parametrize("cells", [1, 2, 3, 4])
+    def test_centered_square_costs_two_passes(self, passes, cells):
+        grid = IntervalGrid(F(1), cells)
+        v = random_vector(grid, random.Random(cells))
+        for i in range(1, cells + 1):
+            for c in (F(0), grid.cell_length, F(-3, 7)):
+                passes[0] = 0
+                (OperatorExpr.increment(grid, i) ** 2 - c).apply(v, F(1, 2))
+                assert passes[0] == 2, (i, c)

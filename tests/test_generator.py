@@ -16,7 +16,7 @@ from twostate.generator import (
     q_polynomials,
     time_derivative_residual,
 )
-from twostate.poly import BivariatePolynomial, difference_quotient
+from twostate.poly import BivariatePolynomial
 from twostate.spectral import JacobiParams, exact_moment, free_poisson_law, orthogonal_polynomials, semicircle_law
 
 X = BivariatePolynomial.x()
@@ -141,7 +141,13 @@ class TestIntForm:
         assert p.evaluate(v, 2) == sum((c * v**dx * 2**dt for (dx, dt), c in ref_a.items()), F(0))
         for dx, coefficient in enumerate(_canonical(c) for c in p.x_coefficients()):
             assert coefficient.coeffs == {(0, dt): c for (x2, dt), c in ref_a.items() if x2 == dx}
-        assert difference_quotient(p) == {(i, dx - 1 - i, dt): c for (dx, dt), c in ref_a.items() for i in range(dx)}
+        # L[p] = sum over monomials c x^dx t^dt of sum_{i<dx} c x^i t^dt m_(dx-1-i), with m_0 = 1
+        moments = [{(0, 0): F(1)}] + [_ref_pow(ref_r, j) for j in (1, 2, 3)]
+        ref_l = {}
+        for (dx, dt), c in ref_a.items():
+            for i in range(dx):
+                ref_l = _ref_add(ref_l, _ref_mul({(i, dt): c}, moments[dx - 1 - i]))
+        assert _canonical(l_apply(p, [BivariatePolynomial(m) for m in moments[1:]])).coeffs == ref_l
 
     @settings(max_examples=60, deadline=None)
     @example(a=BIG_EXAMPLE, b={(0, 0): F(1, 98765432109876543210)}, c=BIG_EXAMPLE, s=F(-98765432109876543210, 3))
@@ -172,19 +178,23 @@ class TestIntForm:
 
 
 class TestDifferenceQuotient:
+    """(f(x) - f(y)) / (x - y) inside `l_apply`, with y^j read off explicit moment polynomials."""
+
     def test_square(self):
-        assert difference_quotient(X**2) == {(1, 0, 0): 1, (0, 1, 0): 1}
+        # x^2 -> x + y
+        assert l_apply(X**2, [T]) == X + T
 
     def test_process_quadratic(self):
         # q_2 at alpha=1: x^2 - t x - t  ->  x + y - t
         q2 = q_polynomials(2, F(1))[2]
-        assert difference_quotient(q2) == {(1, 0, 0): 1, (0, 1, 0): 1, (0, 0, 1): -1}
+        assert l_apply(q2, [T**2]) == X + T**2 - T
 
     def test_constant(self):
-        assert difference_quotient(BivariatePolynomial.constant(5)) == {}
+        assert l_apply(BivariatePolynomial.constant(5), []) == BivariatePolynomial.zero()
 
     def test_cubic(self):
-        assert difference_quotient(X**3) == {(2, 0, 0): 1, (1, 1, 0): 1, (0, 2, 0): 1}
+        # x^3 -> x^2 + x y + y^2
+        assert l_apply(X**3, [T, T**2 + T]) == X**2 + X * T + T**2 + T
 
 
 class TestFamilies:
