@@ -362,9 +362,8 @@ def cmd_selfcheck(args) -> int:
     return 1 if failed else 0 if passed == len(items) else 2
 
 
-def _add_common(parser, *, alpha=True, total_time=False, small_time=False, beta=False):
-    if alpha:
-        parser.add_argument("--alpha", type=parse_rational, required=True, help="drift parameter, p/q")
+def _add_common(parser, *, total_time=False, small_time=False, beta=False):
+    parser.add_argument("--alpha", type=parse_rational, required=True, help="drift parameter, p/q")
     if total_time:
         parser.add_argument("--T", type=parse_rational, required=True, help="time horizon, p/q")
     if small_time:

@@ -10,11 +10,12 @@ anywhere, so every state evaluation below is exact.
 Vectors are stored as int numerators over one common denominator, and the
 action runs on them; Fractions appear only at read-out (`FockVector.coef` is
 the reduced one). The product checks never expand an operator product: they
-apply its factors to the vector from right to left. The martingale and
-conditional-expectation checks read phi[B* Y] as <B Omega, Y Omega>, so the
-adjoint of the past B is never applied. An expression is applied factored on
-the leading letters of its words, and letters with equal tails share one pass
-over the tail's image: X(I)^p costs p passes over the vector, not one per word.
+apply its factors to the vector from right to left, and the freeness check
+reads every psi value off one seeded vector, (1 + alpha X(T)) Omega. The
+martingale and conditional-expectation checks read phi[B* Y] as
+<B Omega, Y Omega>, so no adjoint of the past B is applied. An expression is
+applied factored on the leading letters of its words; letters with equal tails
+share one pass over the tail's image, so X(I)^p costs p passes.
 """
 
 from __future__ import annotations
@@ -30,9 +31,8 @@ Word = tuple[int, ...]
 KERNEL_DEPTH_CAP = 600  # a kernel-residual table rebuilds eta_d for every d, so it is cubic in depth
 # Most grid cells the Fock commands accept, checked before any work. Whole
 # processes at default flags, alpha = 1/2 and T = 1, on a 2-CPU VM:
-# freeness-check takes 5.9-7.2 / 27-29 s at N = 8 / 12, and martingale-check
-# 0.5-0.8 / 1.2 / 1.8-2.0 s (18 / 19 / 20 MB) at N = 8 / 9 / 10. The moment
-# tables run on one cell whatever N is.
+# martingale-check takes 0.5-0.7 s (18 MB) at N = 8, and freeness-check
+# 1.5-2.7 s (17 MB). The moment tables run on one cell whatever N is.
 CELL_CAP = 8
 # Highest fock-moments --degree. The one-cell table gains a word per step and
 # its numerators grow with every step: whole processes with 4-digit rationals
@@ -43,9 +43,9 @@ TABLE_DEGREE_CAP = 200
 # 0.8 s and 5 takes 3.4-3.7 s (28 MB); at N = 3, 8 takes 0.5-0.6 s and 10
 # takes 3.5 s (45 MB).
 MARTINGALE_DEGREE_CAP = 4
-# Most products freeness-check walks: 3,376 at N = 8, --max-len 3 (5.9-7.2 s;
-# --max-len 4, 47,280, takes 106-110 s); at N = 2, 2,044 at --max-len 9
-# (7.3-8.2 s).
+# Most products freeness-check walks: 3,376 at N = 8, --max-len 3 (1.5-2.7 s
+# whole process; the 47,280 of --max-len 4 took 38 s in one process with the
+# cap lifted); at N = 2, 2,044 at --max-len 9 (2.8-4.4 s).
 FREENESS_PRODUCT_CAP = 3376
 
 
@@ -467,25 +467,25 @@ def freeness_check(grid: IntervalGrid, alpha, factors) -> FreenessReport:
 
     Each factor must be a polynomial in a single increment, consecutive
     factors in different increments, every factor centered for the secondary
-    state. Centering is checked, never applied silently.
-    """
+    state. Centering is checked, never applied silently. Every psi value is
+    read off one seeded vector, (1 + alpha X(T)) Omega."""
     factors = list(factors)
+    seed = c_t_expr(grid, alpha).apply(FockVector.vacuum(grid), alpha)
     supports = []
     for k, f in enumerate(factors):
         cells = f.support_cells()
         if len(cells) != 1:
             raise ValueError(f"factor {k} is not a polynomial in a single increment")
         supports.append(next(iter(cells)))
-        centered = state_psi_t(f, alpha)
+        centered = f.apply(seed, alpha).vacuum_coefficient()
         if centered != 0:
             raise ValueError(f"factor {k} is not psi-centered (psi value {centered})")
     for a, b in zip(supports, supports[1:]):
         if a == b:
             raise ValueError("consecutive factors use the same increment")
-    vacuum = FockVector.vacuum(grid)
     return FreenessReport(
-        psi_of_product=_vacuum_state(factors + [c_t_expr(grid, alpha)], alpha, vacuum),
-        phi_of_product=_vacuum_state(factors, alpha, vacuum),
+        psi_of_product=_vacuum_state(factors, alpha, seed),
+        phi_of_product=_vacuum_state(factors, alpha, FockVector.vacuum(grid)),
         phi_factors=tuple(state_phi(f, alpha) for f in factors),
     )
 

@@ -53,9 +53,6 @@ class SetPartition:
                 out[x] = i
         return out
 
-    def __str__(self) -> str:
-        return "".join("(" + ",".join(map(str, b)) + ")" for b in self.blocks)
-
 
 @dataclass(frozen=True)
 class BlockClassification:

@@ -56,12 +56,12 @@ class BivariatePolynomial:
         return BivariatePolynomial.constant(1)
 
     @staticmethod
-    def x(power: int = 1) -> "BivariatePolynomial":
-        return BivariatePolynomial({(power, 0): Fraction(1)})
+    def x() -> "BivariatePolynomial":
+        return BivariatePolynomial({(1, 0): Fraction(1)})
 
     @staticmethod
-    def t(power: int = 1) -> "BivariatePolynomial":
-        return BivariatePolynomial({(0, power): Fraction(1)})
+    def t() -> "BivariatePolynomial":
+        return BivariatePolynomial({(0, 1): Fraction(1)})
 
     def is_zero(self) -> bool:
         return not self.ints

@@ -245,19 +245,22 @@ def _check_centered_power(k: int, m: int) -> None:
 
 
 def centered_power_moment(family: IncrementFamilySpec, k: int, m: int) -> Fraction:
-    """phi[(sum_i X_i^k - c)^m] with c = T for k = 2 and c = 0 otherwise."""
+    """phi[(sum_i X_i^k - c)^m] with c = T for k = 2 and c = 0 otherwise.
+
+    k = 2 is the lemma sum at every m, for Brownian-shaped families only (brute
+    force is its oracle, `centered_qv_moment`); other k expand mixed moments."""
     _check_centered_power(k, m)
     if k == 2:
-        return centered_qv_moment(family, m, method="lemma_sum" if 2 * m > BRUTEFORCE_WORD_CAP else "bruteforce")
+        return _qv_lemma_sum(family, m)
     return _power_sum_moment(family, k, m)
 
 
 def norm_2n_table(family: IncrementFamilySpec, k: int, n_max: int) -> list[float]:
     """||sum_i X_i^k - c||_{2n} = phi[(...)^{2n}]^{1/2n} for n = 1..n_max.
 
-    An even moment can be negative when beta != 1 (beta = -1, say), where
-    no Fock model makes phi a positive state; such a row has no real root
-    and raises ValueError.
+    Rows are `centered_power_moment`s. An even moment can be negative when
+    beta != 1 (beta = -1, say), where no Fock model makes phi a positive
+    state; such a row has no real root and raises ValueError.
     """
     _check_centered_power(k, 2 * n_max)  # the last row is the largest: fail before the first
     out = []

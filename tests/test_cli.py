@@ -294,6 +294,8 @@ class TestPlumbing:
             ["freeness-check", "--alpha", "1", "--T", "1", "--N", "8", "--max-len", "4"],
             ["fock-moments", "--alpha", "1", "--T", "1", "--N", "8", "--degree", str(fock.TABLE_DEGREE_CAP + 1)],
             ["density", "--measure", "nu", "--alpha", "1", "--t", "1", "--samples", str(DENSITY_SAMPLE_CAP + 1)],
+            # --k and --n exclude each other even when --k is given its usual value
+            ["variation-table", "--alpha", "1", "--T", "1", "--k", "2", "--n", "2", "--N-list", "2"],
         ],
     )
     def test_malformed_input_exits_2(self, capsys, argv):

@@ -32,6 +32,7 @@ GOLDEN = [
     ("selfcheck --alpha 1 --T 1 --N 3 --order 6", 0, "be6171f0aad5dcc119c30a00d2beb7301a3dbba3e696077f41c6440d087878c1"),
     ("fock-moments --alpha 9973/9998 --T 9967/9931 --N 8 --degree 12", 0, "85cdc5172a3684cbec782f94cf928bf9cdc23d86d575ccdd75612f1adbdf5eb6"),
     ("generator-check --alpha 1/2 --n-max 16", 0, "aefaa8044a30a72ae937f14bc5396f3f3bae31118be61f3aef0c1c24467e7e3c"),
+    ("norm-table --alpha 1/2 --beta 3 --T 2/3 --k 2 --n-max 4 --N 3", 0, "b62c956fccad2cfbdd69075ee13b5770b8fb1fe81fb3815c0261b17175c837b7"),
 ]
 
 

@@ -740,3 +740,18 @@ class TestPassCount:
                 passes[0] = 0
                 (OperatorExpr.increment(grid, i) ** 2 - c).apply(v, F(1, 2))
                 assert passes[0] == 2, (i, c)
+
+    @pytest.mark.parametrize(
+        "seq", [((1, 1),), ((1, 1), (2, 2), (1, 1)), ((3, 2), (1, 3)), ((2, 1), (3, 1), (1, 1), (2, 2))]
+    )
+    def test_freeness_check_costs_one_seed_pass_and_four_per_degree(self, passes, seq):
+        # one pass seeds (1 + alpha X(T)) Omega; each degree unit costs a pass
+        # in its centering check, in psi and phi of the product and in its phi
+        grid, alpha = IntervalGrid(F(1), 3), F(1, 2)
+        factors = []
+        for cell, degree in seq:
+            raw = OperatorExpr.increment(grid, cell) ** degree
+            factors.append(raw - state_psi_t(raw, alpha))
+        passes[0] = 0
+        assert freeness_check(grid, alpha, factors).ok
+        assert passes[0] == 1 + 4 * sum(degree for _, degree in seq)

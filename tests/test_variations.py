@@ -378,3 +378,29 @@ class TestNormTable:
             value = centered_qv_moment(family, power, "bruteforce")
             bound = 4.0 ** (2 * power) * count ** (-power / 2) * count**count
             assert float(value) <= bound
+
+
+class TestQuadraticPowerRoute:
+    """k = 2 sums the lemma at every power; brute force is only its oracle."""
+
+    def test_no_power_reaches_bruteforce(self, monkeypatch):
+        family = brownian_family(F(1, 2), F(3, 2), 3, beta=3)
+        oracle = [centered_qv_moment(family, m, "bruteforce") for m in range(1, 5)]
+
+        def refuse(*args):
+            raise AssertionError("centered_power_moment reached the brute-force route")
+
+        monkeypatch.setattr(variations, "_qv_bruteforce", refuse)
+        assert [centered_power_moment(family, 2, m) for m in range(1, 5)] == oracle
+        assert norm_2n_table(family, 2, 2) == [float(oracle[1]) ** (1 / 2), float(oracle[3]) ** (1 / 4)]
+
+    def test_non_brownian_family_rejected_at_every_power(self):
+        whole = TwoStateElementSpec((F(0), F(1)) + (F(0),) * 6, (F(1), F(1), F(1)) + (F(0),) * 5)
+        family = IncrementFamilySpec.from_whole_interval(whole, 2, F(1))
+        for m in range(1, LEMMA_POWER_CAP + 1):
+            with pytest.raises(ValueError, match="Brownian"):
+                centered_power_moment(family, 2, m)
+
+    def test_zeroth_power_is_refused_by_the_lemma(self):
+        with pytest.raises(ValueError, match="n must be positive"):
+            centered_power_moment(brownian_family(F(1), F(1), 2), 2, 0)
