@@ -233,7 +233,10 @@ def cmd_kernel_residual(args) -> int:
     _check_count("depth", args.depth, maximum=fock.KERNEL_DEPTH_CAP)
     lines = ["depth,residual_f64"]
     for depth in range(1, args.depth + 1):
-        lines.append(f"{depth},{fock.kernel_residual(args.alpha, args.t, depth):.12g}")
+        residual = fock.kernel_residual(args.alpha, args.t, depth)
+        if residual == 0:  # never exact: (1 + alpha X(t)) eta_D has alpha r^D on chi^(D+1)
+            raise ValueError(f"the residual at depth {depth}, alpha {args.alpha}, t {args.t} underflows a float")
+        lines.append(f"{depth},{residual:.12g}")
     _emit(lines, args.output)
     return 0
 

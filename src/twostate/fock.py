@@ -7,15 +7,17 @@ the identity, and annihilation against the first letter. The single deliberate
 asymmetry: on the vacuum the operator only creates. No truncation happens
 anywhere, so every state evaluation below is exact.
 
-Vectors are stored as int numerators over one common denominator, and the
-action runs on them; Fractions appear only at read-out (`FockVector.coef` is
-the reduced one). The product checks never expand an operator product: they
-apply its factors to the vector from right to left, and the freeness check
-reads every psi value off one seeded vector, (1 + alpha X(T)) Omega. The
-martingale and conditional-expectation checks read phi[B* Y] as
-<B Omega, Y Omega>, so no adjoint of the past B is applied. An expression is
-applied factored on the leading letters of its words; letters with equal tails
-share one pass over the tail's image, so X(I)^p costs p passes.
+Vectors and operator expressions share one format, int numerators over one
+common denominator, and the action and the expression arithmetic run on it.
+Fractions appear only at the edges: the public constructors, alpha and the
+cell length, and the read-outs (`FockVector.coef` and `OperatorExpr.terms` are
+reduced). The product checks never expand an operator product: they apply its
+factors to the vector from right to left, and the freeness check reads every
+psi value off one seeded vector, (1 + alpha X(T)) Omega. The martingale and
+conditional-expectation checks read phi[B* Y] as <B Omega, Y Omega>, so no
+adjoint of the past B is applied. An expression is applied factored on the
+leading letters of its words; letters with equal tails share one pass over the
+tail's image, so X(I)^p costs p passes.
 """
 
 from __future__ import annotations
@@ -71,8 +73,8 @@ class IntervalGrid:
         return self.total_time / self.cells
 
 
-class FockVector:
-    """Finite map from cell words to rationals: nonzero numerators `ints` over `den`."""
+class _Sparse:
+    """Finite map from words to rationals: nonzero int numerators `ints` over one positive `den`."""
 
     __slots__ = ("grid", "ints", "den")
 
@@ -82,22 +84,40 @@ class FockVector:
         self.den = math.lcm(*(c.denominator for c in coef.values()))
         self.ints = {w: c.numerator * (self.den // c.denominator) for w, c in coef.items()}
 
-    @staticmethod
-    def _from_ints(grid: IntervalGrid, ints: dict[Word, int], den: int) -> "FockVector":
-        # internal: the vector ints / den, zero numerators dropped
-        v = FockVector.__new__(FockVector)
+    @classmethod
+    def _from_ints(cls, grid: IntervalGrid, ints: dict[Word, int], den: int):
+        # internal: ints / den, zero numerators dropped
+        v = cls.__new__(cls)
         v.grid = grid
         v.ints = {w: n for w, n in ints.items() if n}
         v.den = den
         return v
 
+    def _fractions(self) -> dict[Word, Fraction]:
+        return {w: Fraction(n, self.den) for w, n in self.ints.items()}
+
+    def __add__(self, other):
+        if self.grid != other.grid:
+            raise ValueError("grid mismatch")
+        out = dict(self.ints)
+        return self._from_ints(self.grid, out, _accumulate(out, self.den, 1, other.ints, other.den))
+
+    def scaled(self, factor):
+        f = Fraction(factor)
+        return self._from_ints(self.grid, {w: n * f.numerator for w, n in self.ints.items()}, self.den * f.denominator)
+
+
+class FockVector(_Sparse):
+    """Finite map from cell words to rationals, read out reduced by `coef`."""
+
+    __slots__ = ()
+    # bench/tracer.py wraps the methods found in each class's own body
+    __add__, scaled = _Sparse.__add__, _Sparse.scaled
+    coef = property(_Sparse._fractions)
+
     @staticmethod
     def vacuum(grid: IntervalGrid) -> "FockVector":
         return FockVector._from_ints(grid, {(): 1}, 1)
-
-    @property
-    def coef(self) -> dict[Word, Fraction]:
-        return {w: Fraction(n, self.den) for w, n in self.ints.items()}
 
     def vacuum_coefficient(self) -> Fraction:
         return Fraction(self.ints.get((), 0), self.den)
@@ -116,19 +136,8 @@ class FockVector:
     def norm_squared(self) -> Fraction:
         return self.inner(self)
 
-    def __add__(self, other: "FockVector") -> "FockVector":
-        if self.grid != other.grid:
-            raise ValueError("grid mismatch")
-        out = dict(self.ints)
-        den = _accumulate(out, self.den, 1, other.ints, other.den)
-        return FockVector._from_ints(self.grid, out, den)
-
     def __sub__(self, other: "FockVector") -> "FockVector":
         return self + other.scaled(-1)
-
-    def scaled(self, factor) -> "FockVector":
-        f = Fraction(factor)
-        return FockVector._from_ints(self.grid, {w: n * f.numerator for w, n in self.ints.items()}, self.den * f.denominator)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, FockVector):
@@ -161,13 +170,13 @@ def _act(grid: IntervalGrid, letters: set[int], alpha, ints: dict[Word, int], de
     return out, den * scale
 
 
-def _accumulate(acc: dict[Word, int], acc_den: int, factor: Fraction | int, ints: dict[Word, int], den: int) -> int:
+def _accumulate(acc: dict[Word, int], acc_den: int, factor: int, ints: dict[Word, int], den: int) -> int:
     # acc / acc_den += factor * ints / den in place; returns the new denominator
-    new_den = math.lcm(acc_den, den * factor.denominator)
+    new_den = math.lcm(acc_den, den)
     if new_den != acc_den:
         for w in acc:
             acc[w] *= new_den // acc_den
-    up = factor.numerator * (new_den // (den * factor.denominator))
+    up = factor * (new_den // den)
     for w, n in ints.items():
         acc[w] = acc.get(w, 0) + up * n
     return new_den
@@ -182,51 +191,44 @@ def apply_increment(grid: IntervalGrid, i: int, alpha, v: FockVector) -> FockVec
     return OperatorExpr.increment(grid, i).apply(v, alpha)
 
 
-class OperatorExpr:
+class OperatorExpr(_Sparse):
     """Formal polynomial in the cell increments: map from generator words to rationals.
 
     A word (g1, g2, ..., gk) denotes the product X(I_g1) X(I_g2) ... X(I_gk),
-    applied to vectors right to left.
+    applied to vectors right to left. Stored as FockVector is, read out
+    reduced by `terms`.
     """
 
-    __slots__ = ("grid", "terms")
-
-    def __init__(self, grid: IntervalGrid, terms: dict[Word, Fraction] | None = None):
-        self.grid = grid
-        self.terms = {w: Fraction(c) for w, c in (terms or {}).items() if c}
+    __slots__ = ()
+    scaled = _Sparse.scaled
+    terms = property(_Sparse._fractions)
 
     @staticmethod
     def identity(grid: IntervalGrid) -> "OperatorExpr":
-        return OperatorExpr(grid, {(): Fraction(1)})
+        return OperatorExpr._from_ints(grid, {(): 1}, 1)
 
     @staticmethod
     def increment(grid: IntervalGrid, i: int) -> "OperatorExpr":
         if not 1 <= i <= grid.cells:
             raise ValueError(f"cell index {i} out of range 1..{grid.cells}")
-        return OperatorExpr(grid, {(i,): Fraction(1)})
+        return OperatorExpr._from_ints(grid, {(i,): 1}, 1)
 
     @staticmethod
     def interval(grid: IntervalGrid, first_cell: int, last_cell: int) -> "OperatorExpr":
         """X over the contiguous cells first_cell..last_cell (inclusive)."""
         if not 1 <= first_cell <= last_cell <= grid.cells:
             raise ValueError("bad cell range")
-        return OperatorExpr(grid, {(i,): Fraction(1) for i in range(first_cell, last_cell + 1)})
+        return OperatorExpr._from_ints(grid, {(i,): 1 for i in range(first_cell, last_cell + 1)}, 1)
 
     @staticmethod
     def whole_interval(grid: IntervalGrid) -> "OperatorExpr":
         return OperatorExpr.interval(grid, 1, grid.cells)
 
     def support_cells(self) -> frozenset[int]:
-        return frozenset(i for w in self.terms for i in w)
+        return frozenset(i for w in self.ints for i in w)
 
     def __add__(self, other) -> "OperatorExpr":
-        other = self._coerce(other)
-        if self.grid != other.grid:
-            raise ValueError("grid mismatch")
-        out = dict(self.terms)
-        for w, c in other.terms.items():
-            out[w] = out.get(w, Fraction(0)) + c
-        return OperatorExpr(self.grid, out)
+        return _Sparse.__add__(self, self._coerce(other))
 
     __radd__ = __add__
 
@@ -241,12 +243,11 @@ class OperatorExpr:
             return self.scaled(other)
         if self.grid != other.grid:
             raise ValueError("grid mismatch")
-        out: dict[Word, Fraction] = {}
-        for wa, ca in self.terms.items():
-            for wb, cb in other.terms.items():
-                key = wa + wb
-                out[key] = out.get(key, Fraction(0)) + ca * cb
-        return OperatorExpr(self.grid, out)
+        out: dict[Word, int] = {}
+        for wa, na in self.ints.items():
+            for wb, nb in other.ints.items():
+                out[wa + wb] = out.get(wa + wb, 0) + na * nb
+        return OperatorExpr._from_ints(self.grid, out, self.den * other.den)
 
     def __rmul__(self, other) -> "OperatorExpr":
         return self.scaled(other)
@@ -259,17 +260,9 @@ class OperatorExpr:
             result = result * self
         return result
 
-    def scaled(self, factor) -> "OperatorExpr":
-        f = Fraction(factor)
-        return OperatorExpr(self.grid, {w: c * f for w, c in self.terms.items()})
-
     def adjoint(self) -> "OperatorExpr":
         """Reverse every word; the generators are self-adjoint and coefficients real."""
-        out: dict[Word, Fraction] = {}
-        for w, c in self.terms.items():
-            key = w[::-1]
-            out[key] = out.get(key, Fraction(0)) + c
-        return OperatorExpr(self.grid, out)
+        return OperatorExpr._from_ints(self.grid, {w[::-1]: n for w, n in self.ints.items()}, self.den)
 
     def _coerce(self, other) -> "OperatorExpr":
         if isinstance(other, OperatorExpr):
@@ -283,21 +276,22 @@ class OperatorExpr:
         each tail E_i is applied by the same rule. Letters with equal tails
         share one `_act` pass over the tail's image: a sum of increments is
         one pass and X(I)^p is p passes. The terms are summed in integers
-        over a common denominator.
+        and divided by the expression's denominator once, at the end.
         """
         if v.grid != self.grid:
             raise ValueError("grid mismatch")
         bad = [i for i in self.support_cells() if not 1 <= i <= self.grid.cells]
         if bad:
             raise ValueError(f"cell index {min(bad)} out of range 1..{self.grid.cells}")
-        return FockVector._from_ints(self.grid, *_image(self.grid, alpha, v, self.terms.items()))
+        ints, den = _image(self.grid, alpha, v, self.ints.items())
+        return FockVector._from_ints(self.grid, ints, den * self.den)
 
 
 def _image(grid: IntervalGrid, alpha, v: FockVector, terms) -> tuple[dict[Word, int], int]:
-    # E v as (ints, den) for the expression E with these (word, coefficient)
-    # pairs; letters whose tails are equal are grouped into one _act pass
+    # E v as (ints, den) for the expression E with these (word, int
+    # coefficient) pairs; letters whose tails are equal share one _act pass
     const = 0
-    tails: dict[int, dict[Word, Fraction]] = {}
+    tails: dict[int, dict[Word, int]] = {}
     for w, c in terms:
         if w:
             tails.setdefault(w[0], {})[w[1:]] = c
@@ -527,15 +521,17 @@ def cond_exp_obstruction(grid: IntervalGrid, alpha, t_cells: int, s_cells: int, 
 
 
 def _eta(grid: IntervalGrid, alpha, depth: int) -> FockVector:
-    # eta_D = sum_{n<=D} (-1/(alpha T))^n chi^{(x)n}; n runs down, so den is q^D from the first term
+    # eta_D = sum_{n<=D} r^n chi^{(x)n} with r = -1/(alpha T) = u/d: a word of
+    # length n gets u^n d^(D-n), all over d^D
     a = Fraction(alpha)
     if a == 0:
         raise ValueError("alpha must be nonzero")
     ratio = -1 / (a * grid.total_time)
-    ints, den = {}, 1
-    for n in range(depth, -1, -1):
-        den = _accumulate(ints, den, ratio**n, elementary_tensor(grid, [((1, grid.cells), n)]).ints, 1)
-    return FockVector._from_ints(grid, ints, den)
+    u, d = ratio.numerator, ratio.denominator
+    ints = {}
+    for n in range(depth + 1):
+        ints.update(dict.fromkeys(elementary_tensor(grid, [((1, grid.cells), n)]).ints, u**n * d ** (depth - n)))
+    return FockVector._from_ints(grid, ints, d**depth)
 
 
 def kernel_vector(grid: IntervalGrid, alpha, depth: int) -> FockVector:
@@ -546,7 +542,8 @@ def kernel_vector(grid: IntervalGrid, alpha, depth: int) -> FockVector:
 
 
 def kernel_residual(alpha, t, depth: int) -> float:
-    """|| (1 + alpha X(t)) eta_D || / || eta_D || for the depth-D kernel sum."""
+    """|| (1 + alpha X(t)) eta_D || / || eta_D || for the depth-D kernel sum;
+    past float range it returns 0.0."""
     grid = IntervalGrid(Fraction(t), 1)
     eta = kernel_vector(grid, alpha, depth)
     image = c_t_expr(grid, alpha).apply(eta, alpha)

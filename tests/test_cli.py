@@ -296,6 +296,8 @@ class TestPlumbing:
             ["density", "--measure", "nu", "--alpha", "1", "--t", "1", "--samples", str(DENSITY_SAMPLE_CAP + 1)],
             # --k and --n exclude each other even when --k is given its usual value
             ["variation-table", "--alpha", "1", "--T", "1", "--k", "2", "--n", "2", "--N-list", "2"],
+            # the exact residual is never 0, so a 0.0 is a float underflow
+            ["kernel-residual", "--alpha", "1e300", "--t", "1e300", "--depth", "3"],
         ],
     )
     def test_malformed_input_exits_2(self, capsys, argv):

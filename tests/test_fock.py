@@ -558,6 +558,35 @@ class TestRightToLeftMatchesExpandedProduct:
         assert product_lemma_vector(self.grid, self.alpha, groups) == expected
 
 
+reference_entries = st.lists(st.tuples(st.lists(st.integers(1, 3), max_size=3), st.fractions(-20, 20, max_denominator=30),
+                                        st.booleans()), max_size=10)
+reference_factors = st.fractions(-9, 9, max_denominator=12) | st.just(F(0))
+
+
+def reference_dicts(cells, entries):
+    # two plain dicts of Fractions that share some words, so sums can cancel;
+    # zero coefficients are kept for the constructors to drop
+    ref_v, ref_w = {}, {}
+    for word, c, into_v in entries:
+        word = tuple(min(i, cells) for i in word)
+        target = ref_v if into_v else ref_w
+        target[word] = c
+        if into_v and c.denominator % 2:
+            ref_w[word] = -c
+    return ref_v, ref_w
+
+
+def nonzero(coef):
+    return {word: c for word, c in coef.items() if c}
+
+
+def combine(a, b, sign):
+    out = dict(a)
+    for word, c in b.items():
+        out[word] = out.get(word, F(0)) + sign * c
+    return nonzero(out)
+
+
 alphas = st.fractions(-5, 5, max_denominator=9999)
 times = st.fractions(F(1, 9999), 5, max_denominator=9999)
 
@@ -602,34 +631,13 @@ class TestProperties:
                 assert c.denominator > 0 and math.gcd(c.numerator, c.denominator) == 1
 
     @settings(max_examples=60, deadline=None)
-    @given(
-        cells=st.integers(1, 3),
-        entries=st.lists(st.tuples(st.lists(st.integers(1, 3), max_size=3), st.fractions(-20, 20, max_denominator=30),
-                                   st.booleans()), max_size=10),
-        factor=st.fractions(-9, 9, max_denominator=12) | st.just(F(0)),
-    )
+    @given(cells=st.integers(1, 3), entries=reference_entries, factor=reference_factors)
     def test_vector_arithmetic_matches_fraction_reference(self, cells, entries, factor):
-        # v and w share some words, so sums can cancel; the reference is a
-        # plain dict of Fractions with zeros dropped
         grid = IntervalGrid(F(3, 2), cells)
-        ref_v, ref_w = {}, {}
-        for word, c, into_v in entries:
-            word = tuple(min(i, cells) for i in word)
-            target = ref_v if into_v else ref_w
-            target[word] = c
-            if into_v and c.denominator % 2:
-                ref_w[word] = -c
+        ref_v, ref_w = reference_dicts(cells, entries)
         v, w = FockVector(grid, ref_v), FockVector(grid, ref_w)
-
-        def combine(a, b, sign):
-            out = dict(a)
-            for word, c in b.items():
-                out[word] = out.get(word, F(0)) + sign * c
-            return {word: c for word, c in out.items() if c}
-
         ell = grid.cell_length
-        ref_v = {word: c for word, c in ref_v.items() if c}
-        ref_w = {word: c for word, c in ref_w.items() if c}
+        ref_v, ref_w = nonzero(ref_v), nonzero(ref_w)
         assert v.coef == ref_v
         assert (v + w).coef == combine(ref_v, ref_w, 1)
         assert (v - w).coef == combine(ref_v, ref_w, -1)
@@ -638,6 +646,39 @@ class TestProperties:
         assert v.vacuum_coefficient() == ref_v.get((), F(0))
         assert FockVector(grid, v.coef) == v
         assert (FockVector(grid, ref_w) == v) == (ref_w == ref_v)
+
+    @settings(max_examples=60, deadline=None)
+    @given(cells=st.integers(1, 3), entries=reference_entries, factor=reference_factors)
+    def test_expression_arithmetic_matches_fraction_reference(self, cells, entries, factor):
+        # words multiply by concatenation and the adjoint reverses them
+        grid = IntervalGrid(F(3, 2), cells)
+        ref_e, ref_f = reference_dicts(cells, entries)
+        e, f = OperatorExpr(grid, ref_e), OperatorExpr(grid, ref_f)
+        ref_e, ref_f = nonzero(ref_e), nonzero(ref_f)
+
+        def product(a, b):
+            out = {}
+            for wa, ca in a.items():
+                for wb, cb in b.items():
+                    out[wa + wb] = out.get(wa + wb, F(0)) + ca * cb
+            return nonzero(out)
+
+        cases = [
+            (e, ref_e),
+            (e + f, combine(ref_e, ref_f, 1)),
+            (e - f, combine(ref_e, ref_f, -1)),
+            (e.scaled(factor), nonzero({word: c * factor for word, c in ref_e.items()})),
+            (e + factor, combine(ref_e, {(): factor}, 1)),
+            (factor + e, combine(ref_e, {(): factor}, 1)),
+            (factor - e, combine({(): factor}, ref_e, -1)),
+            (e * f, product(ref_e, ref_f)),
+            (e**2, product(ref_e, ref_e)),
+            (e.adjoint(), {word[::-1]: c for word, c in ref_e.items()}),
+        ]
+        for expr, ref in cases:
+            assert expr.terms == ref
+            assert type(expr.den) is int and expr.den > 0
+            assert all(type(n) is int and n for n in expr.ints.values())
 
 
 ratios = st.fractions(-9, 9, max_denominator=12)
