@@ -1,10 +1,13 @@
 """Polynomial verification of the process generator identity.
 
-Everything is exact in the polynomial ring over (x, t); the drift alpha enters
-as a rational constant per call. The martingale polynomials q_n and the
-centered family p_n come from their three-term recursions, the operator L
-integrates the difference quotient against closed-form moment polynomials, and
-the headline identity is d/dt q_n + A_t q_n = 0 with
+Everything is exact in the polynomial ring over (x, t). The martingale
+polynomials q_n, the centered family p_n and the moment polynomials of nu and
+mu have integer coefficients on x^i t^j alpha^k that do not depend on alpha:
+q and p by their monic three-term recursion, nu and mu by counting Motzkin
+paths by their level steps. These tables are built once per process, up to
+POLY_DEGREE_CAP, and each call specializes them at its rational alpha in one
+integer pass. The operator L integrates the difference quotient against the
+moment polynomials, and the headline identity is d/dt q_n + A_t q_n = 0 with
 A_t = alpha (d/dx - L_mu) + d/dx L_nu. A_t takes the two L images as inputs, so
 one ladder builds q, nu, mu and each L image once for every degree it checks.
 """
@@ -14,6 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .poly import BivariatePolynomial
 
@@ -21,65 +25,102 @@ POLY_DEGREE_CAP = 16
 SERIES_ORDER_CAP = 12
 
 
-def _recursion_family(n_max: int, alpha, first) -> list[BivariatePolynomial]:
-    # x f_k = f_{k+1} + alpha t f_k + t f_{k-1}, monic, seeded by f_1 = first.
+def _recursion_table(first: dict) -> list[dict]:
+    # x f_n = f_{n+1} + alpha t f_n + t f_{n-1}, monic, seeded by f_1 = first
+    polys = [{(0, 0, 0): 1}, first]
+    for n in range(1, POLY_DEGREE_CAP):
+        new: dict[tuple[int, int, int], int] = {}
+        for (i, j, k), c in polys[n].items():
+            new[(i + 1, j, k)] = new.get((i + 1, j, k), 0) + c
+            new[(i, j + 1, k + 1)] = new.get((i, j + 1, k + 1), 0) - c
+        for (i, j, k), c in polys[n - 1].items():
+            new[(i, j + 1, k)] = new.get((i, j + 1, k), 0) - c
+        polys.append({key: c for key, c in new.items() if c})
+    return polys
+
+
+def _motzkin_table(level_at_zero: bool) -> list[dict]:
+    # Moments 1..cap of the Jacobi data beta = (b_0 t, alpha t, alpha t, ...),
+    # gamma = (t, t, ...): paths step up with weight 1, level with alpha t and
+    # down with t, so m_n = sum_l M(n, l) alpha^l t^((n + l) / 2) over the
+    # paths back at height 0 with l level steps. b_0 = alpha for nu; mu has
+    # b_0 = 0, so no level step at height 0. No path of length <= cap that
+    # returns to 0 climbs above cap / 2.
+    height = POLY_DEGREE_CAP // 2
+    state: list[dict[int, int]] = [{0: 1}] + [{} for _ in range(height)]
+    moments = []
+    for n in range(1, POLY_DEGREE_CAP + 1):
+        new: list[dict[int, int]] = [{} for _ in range(height + 1)]
+        for h, counts in enumerate(state):
+            for level, c in counts.items():
+                if h < height:
+                    new[h + 1][level] = new[h + 1].get(level, 0) + c
+                if h or level_at_zero:
+                    new[h][level + 1] = new[h].get(level + 1, 0) + c
+                if h:
+                    new[h - 1][level] = new[h - 1].get(level, 0) + c
+        state = new
+        moments.append({(0, (n + level) // 2, level): c for level, c in state[0].items()})
+    return moments
+
+
+@lru_cache(maxsize=None)
+def _tables() -> tuple:
+    # q_0..q_cap, p_0..p_cap, and the moments m_1..m_cap of nu and of mu; each
+    # polynomial as (top, ((i, j, k, c), ...)), c the int coefficient of
+    # x^i t^j alpha^k and top the largest k
+    x = {(1, 0, 0): 1}
+    families = [_recursion_table(x), _recursion_table({**x, (0, 1, 1): -1})]
+    families += [_motzkin_table(True), _motzkin_table(False)]
+    return tuple(
+        tuple((max((k for _, _, k in p), default=0), tuple(key + (c,) for key, c in p.items())) for p in family)
+        for family in families
+    )
+
+
+def _specialized(table, alpha) -> list[BivariatePolynomial]:
+    # sum_k c alpha^k at alpha = a / b, as sum_k c a^k b^(top - k) over b^top
+    a = Fraction(alpha)
+    out = []
+    weights: dict[int, list[int]] = {}
+    for top, terms in table:
+        if top not in weights:
+            weights[top] = [a.numerator**k * a.denominator ** (top - k) for k in range(top + 1)]
+        weight = weights[top]
+        ints: dict[tuple[int, int], int] = {}
+        for i, j, k, c in terms:
+            ints[(i, j)] = ints.get((i, j), 0) + c * weight[k]
+        out.append(BivariatePolynomial._from_ints(ints, a.denominator**top))
+    return out
+
+
+def _check_degree(n_max: int) -> None:
     if not 0 <= n_max <= POLY_DEGREE_CAP:
         raise ValueError(f"n_max must be in 0..{POLY_DEGREE_CAP}, got {n_max}")
-    x = BivariatePolynomial.x()
-    shift = BivariatePolynomial({(0, 1): Fraction(alpha)})
-    t = BivariatePolynomial.t()
-    polys = [BivariatePolynomial.one()]
-    if n_max >= 1:
-        polys.append(first)
-    for k in range(1, n_max):
-        polys.append((x - shift) * polys[k] - t * polys[k - 1])
-    return polys
 
 
 def q_polynomials(n_max: int, alpha) -> list[BivariatePolynomial]:
     """Martingale polynomials q_0..q_n: monic, q_1 = x (no drift at level zero)."""
-    return _recursion_family(n_max, alpha, BivariatePolynomial.x())
+    _check_degree(n_max)
+    return _specialized(_tables()[0][: n_max + 1], alpha)
 
 
 def p_polynomials(n_max: int, alpha) -> list[BivariatePolynomial]:
     """Centered family p_0..p_n: monic, p_1 = x - alpha t."""
-    first = BivariatePolynomial.x() - BivariatePolynomial({(0, 1): Fraction(alpha)})
-    return _recursion_family(n_max, alpha, first)
-
-
-def _jacobi_moment_polys(n_max: int, alpha, beta_0) -> list[BivariatePolynomial]:
-    # Moment polynomials in t of the Jacobi data beta = (beta_0 t, alpha t,
-    # alpha t, ...) and gamma = (t, t, ...), by the same weighted-path
-    # recursion as the rational version.
-    first = BivariatePolynomial({(0, 1): Fraction(beta_0)})
-    drift = BivariatePolynomial({(0, 1): Fraction(alpha)})
-    t = BivariatePolynomial.t()
-    height = n_max // 2 + 1
-    state = [BivariatePolynomial.one()] + [BivariatePolynomial.zero() for _ in range(height + 1)]
-    moments = []
-    for _ in range(n_max):
-        new = [BivariatePolynomial.zero() for _ in range(height + 2)]
-        for level in range(height + 1):
-            v = state[level]
-            if v.is_zero():
-                continue
-            new[level + 1] = new[level + 1] + v
-            new[level] = new[level] + v * (drift if level else first)
-            if level > 0:
-                new[level - 1] = new[level - 1] + v * t
-        state = new
-        moments.append(state[0])
-    return moments
+    _check_degree(n_max)
+    return _specialized(_tables()[1][: n_max + 1], alpha)
 
 
 def nu_moment_polys(n_max: int, alpha) -> list[BivariatePolynomial]:
-    """Moments of the secondary-state law at time t, as polynomials in t."""
-    return _jacobi_moment_polys(n_max, alpha, alpha)
+    """Moments 1..n of the secondary-state law at time t, as polynomials in t."""
+    _check_degree(n_max)
+    return _specialized(_tables()[2][:n_max], alpha)
 
 
 def mu_moment_polys(n_max: int, alpha) -> list[BivariatePolynomial]:
-    """Moments of the primary-state law at time t, as polynomials in t."""
-    return _jacobi_moment_polys(n_max, alpha, 0)
+    """Moments 1..n of the primary-state law at time t, as polynomials in t."""
+    _check_degree(n_max)
+    return _specialized(_tables()[3][:n_max], alpha)
 
 
 def l_apply(f: BivariatePolynomial, measure_moments) -> BivariatePolynomial:
@@ -120,7 +161,8 @@ def generator_apply(f: BivariatePolynomial, alpha) -> BivariatePolynomial:
 
 def time_derivative_residual(n: int, alpha) -> BivariatePolynomial:
     """d/dt q_n + A_t q_n; identically zero is the generator identity."""
-    q = q_polynomials(n, alpha)[n]
+    _check_degree(n)
+    q = _specialized(_tables()[0][n : n + 1], alpha)[0]
     return q.d_dt() + generator_apply(q, alpha)
 
 

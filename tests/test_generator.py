@@ -1,10 +1,15 @@
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import twostate
 from twostate import generator
 from twostate.generator import (
     generating_function_check,
@@ -390,3 +395,113 @@ class TestGeneratingFunction:
         for order in (13, -1):
             with pytest.raises(ValueError):
                 generating_function_check(order, F(1))
+
+
+# Reference builders for the integer tables: every family rebuilt with
+# BivariatePolynomial arithmetic at one alpha.
+def _recursion_family(n_max, alpha, first):
+    # x f_k = f_{k+1} + alpha t f_k + t f_{k-1}, monic, seeded by f_1 = first.
+    shift = BivariatePolynomial({(0, 1): F(alpha)})
+    polys = [ONE]
+    if n_max >= 1:
+        polys.append(first)
+    for k in range(1, n_max):
+        polys.append((X - shift) * polys[k] - T * polys[k - 1])
+    return polys
+
+
+def _jacobi_moment_polys(n_max, alpha, beta_0):
+    # Moment polynomials in t of the Jacobi data beta = (beta_0 t, alpha t,
+    # alpha t, ...) and gamma = (t, t, ...), by the weighted-path recursion.
+    first = BivariatePolynomial({(0, 1): F(beta_0)})
+    drift = BivariatePolynomial({(0, 1): F(alpha)})
+    height = n_max // 2 + 1
+    state = [ONE] + [BivariatePolynomial.zero() for _ in range(height + 1)]
+    moments = []
+    for _ in range(n_max):
+        new = [BivariatePolynomial.zero() for _ in range(height + 2)]
+        for level in range(height + 1):
+            v = state[level]
+            if v.is_zero():
+                continue
+            new[level + 1] = new[level + 1] + v
+            new[level] = new[level] + v * (drift if level else first)
+            if level > 0:
+                new[level - 1] = new[level - 1] + v * T
+        state = new
+        moments.append(state[0])
+    return moments
+
+
+BIG_ALPHA = F(12345678901234567891, 98765432109876543210)
+
+
+class TestTables:
+    """q, p, nu and mu specialized from the alpha-free integer tables."""
+
+    @settings(max_examples=40, deadline=None)
+    @example(alpha=F(0), n=16)
+    @example(alpha=F(-3, 7), n=16)
+    @example(alpha=BIG_ALPHA, n=16)
+    @example(alpha=-BIG_ALPHA, n=13)
+    @given(alpha=st.one_of(SMALL, BIG, st.integers(-5, 5).map(F)), n=st.integers(0, 16))
+    def test_families_match_reference(self, alpha, n):
+        shift = BivariatePolynomial({(0, 1): alpha})
+        families = [
+            (q_polynomials(n, alpha), _recursion_family(n, alpha, X)),
+            (p_polynomials(n, alpha), _recursion_family(n, alpha, X - shift)),
+            (nu_moment_polys(n, alpha), _jacobi_moment_polys(n, alpha, alpha)),
+            (mu_moment_polys(n, alpha), _jacobi_moment_polys(n, alpha, 0)),
+        ]
+        for got, want in families:
+            assert [(_canonical(g).ints, g.den) for g in got] == [(w.ints, w.den) for w in want]
+
+    def test_moments_at_unit_drift_and_time_are_motzkin_and_riordan(self):
+        # at alpha = t = 1 nu counts Motzkin paths; mu, with no level step at
+        # height 0, counts Riordan paths
+        motzkin = [1, 2, 4, 9, 21, 51, 127, 323, 835, 2188]
+        riordan = [0, 1, 1, 3, 6, 15, 36, 91, 232, 603]
+        assert [m.evaluate(0, 1) for m in nu_moment_polys(10, 1)] == motzkin
+        assert [m.evaluate(0, 1) for m in mu_moment_polys(10, 1)] == riordan
+
+    @pytest.mark.parametrize("family", [nu_moment_polys, mu_moment_polys])
+    @pytest.mark.parametrize("n", [17, 40, -1])
+    def test_moment_degree_cap(self, family, n):
+        # a capped table must not silently return fewer moments; the check runs before any work
+        generator._tables.cache_clear()
+        with pytest.raises(ValueError, match=r"n_max must be in 0\.\.16"):
+            family(n, F(1, 2))
+        assert generator._tables.cache_info().misses == 0
+
+    @pytest.mark.parametrize("degree", [17, 20])
+    def test_apply_degree_cap(self, degree):
+        # A_t of a polynomial past the cap needs moments past the tables
+        with pytest.raises(ValueError, match=r"n_max must be in 0\.\.16"):
+            generator_apply(X**degree + T, F(1, 2))
+        assert generator_apply(X**16 + T, F(1, 2)).x_degree() == 15
+
+    def test_tables_are_built_once_for_every_alpha(self, monkeypatch):
+        builds = []
+        for name in ("_recursion_table", "_motzkin_table"):
+            real = getattr(generator, name)
+            monkeypatch.setattr(generator, name, lambda *args, real=real, name=name: builds.append(name) or real(*args))
+        generator._tables.cache_clear()
+        try:
+            calls = 0
+            for alpha in [F(1), F(9973, 9998), F(-3, 7), F(0), BIG_ALPHA]:
+                assert time_derivative_residual(16, alpha).is_zero()
+                assert generating_function_check(8, alpha).ok
+                calls += 2
+            info = generator._tables.cache_info()
+        finally:
+            generator._tables.cache_clear()
+        assert info.misses == 1 and info.hits >= calls - 1
+        assert sorted(builds) == ["_motzkin_table", "_motzkin_table", "_recursion_table", "_recursion_table"]
+
+    def test_import_builds_no_table(self):
+        # the tables are built on the first call, never at import
+        src = str(Path(twostate.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        code = "import twostate.cli; from twostate import generator; print(generator._tables.cache_info().misses)"
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+        assert (out.returncode, out.stdout) == (0, "0\n")
