@@ -9,15 +9,16 @@ anywhere, so every state evaluation below is exact.
 
 Vectors and operator expressions share one format, int numerators over one
 common denominator, and the action and the expression arithmetic run on it.
-Fractions appear only at the edges: the public constructors, alpha and the
-cell length, and the read-outs (`FockVector.coef` and `OperatorExpr.terms` are
-reduced). The product checks never expand an operator product: they apply its
-factors to the vector from right to left, and the freeness check reads every
-psi value off one seeded vector, (1 + alpha X(T)) Omega. The martingale and
-conditional-expectation checks read phi[B* Y] as <B Omega, Y Omega>, so no
-adjoint of the past B is applied. An expression is applied factored on the
-leading letters of its words; letters with equal tails share one pass over the
-tail's image, so X(I)^p costs p passes.
+Fractions appear only at the edges: the public constructors and the read-outs
+(`FockVector.coef` and `OperatorExpr.terms` are reduced). alpha and the cell
+length enter the action as numerator/denominator pairs, and nothing is kept
+between passes. The product checks never expand an operator product: they
+apply its factors to the vector from right to left, and the freeness check
+reads every psi value off one seeded vector, (1 + alpha X(T)) Omega. The
+martingale and conditional-expectation checks read phi[B* Y] as
+<B Omega, Y Omega>, so no adjoint of the past B is applied. An expression is
+applied factored on the leading letters of its words; letters with equal
+tails share one pass over the tail's image, so X(I)^p costs p passes.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
@@ -57,9 +58,6 @@ class IntervalGrid:
 
     total_time: Fraction
     cells: int
-    # _act's (down, drift, scale) per (alpha, number of letters): the cells
-    # are equal, so the letters matter only through their number
-    _multipliers: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "total_time", Fraction(self.total_time))
@@ -146,19 +144,19 @@ class FockVector(_Sparse):
         return NotImplemented
 
 
-def _act(grid: IntervalGrid, letters: set[int], alpha, ints: dict[Word, int], den: int) -> tuple[dict[Word, int], int]:
-    # Apply sum_{i in letters} X(I_i) once to the vector ints / den: creation
-    # of each i, the alpha * length drift, and annihilation of a leading i; on
-    # the vacuum only creation fires. Coefficients stay Python ints: the
-    # multipliers are scaled by the lcm of their denominators, so the result
-    # is (ints, den * scale). The result may hold zero coefficients.
-    key = (alpha, len(letters))
-    if key not in grid._multipliers:
-        ell = grid.cell_length
-        drift = Fraction(alpha) * ell * len(letters)
-        scale = math.lcm(drift.denominator, ell.denominator)
-        grid._multipliers[key] = (int(ell * scale), int(drift * scale), scale)
-    down, drift, scale = grid._multipliers[key]
+def _act(ell: Fraction, alpha: Fraction, letters: set[int], ints: dict[Word, int], den: int) -> tuple[dict[Word, int], int]:
+    # Apply sum_{i in letters} X(I_i) once to the vector ints / den, each cell
+    # of length ell = p/q: creation of each i, the drift alpha * ell * |letters|
+    # = num / (b q), and annihilation of a leading i; on the vacuum only
+    # creation fires. Coefficients stay Python ints: the multipliers are
+    # scaled by the lcm of their reduced denominators, so the result is
+    # (ints, den * scale). Nothing is kept between passes. The result may hold
+    # zero coefficients.
+    p, q = ell.numerator, ell.denominator
+    num, bq = alpha.numerator * p * len(letters), alpha.denominator * q
+    g = math.gcd(num, bq)
+    scale = math.lcm(bq // g, q)
+    down, drift = p * scale // q, num // g * (scale // (bq // g))
     # creation never forms the same word twice, so it fills the dict first
     out = {(i,) + w: scale * c for w, c in ints.items() for i in letters}
     for w, c in ints.items():
@@ -283,11 +281,11 @@ class OperatorExpr(_Sparse):
         bad = [i for i in self.support_cells() if not 1 <= i <= self.grid.cells]
         if bad:
             raise ValueError(f"cell index {min(bad)} out of range 1..{self.grid.cells}")
-        ints, den = _image(self.grid, alpha, v, self.ints.items())
+        ints, den = _image(self.grid.cell_length, Fraction(alpha), v, self.ints.items())
         return FockVector._from_ints(self.grid, ints, den * self.den)
 
 
-def _image(grid: IntervalGrid, alpha, v: FockVector, terms) -> tuple[dict[Word, int], int]:
+def _image(ell: Fraction, alpha: Fraction, v: FockVector, terms) -> tuple[dict[Word, int], int]:
     # E v as (ints, den) for the expression E with these (word, int
     # coefficient) pairs; letters whose tails are equal share one _act pass
     const = 0
@@ -304,7 +302,7 @@ def _image(grid: IntervalGrid, alpha, v: FockVector, terms) -> tuple[dict[Word, 
         return v.ints, v.den  # the identity: read only from here on
     out, den = {}, 1
     for tail, letters in groups.items():
-        acted, acted_den = _act(grid, letters, alpha, *_image(grid, alpha, v, tail))
+        acted, acted_den = _act(ell, alpha, letters, *_image(ell, alpha, v, tail))
         if out:
             den = _accumulate(out, den, 1, acted, acted_den)
         else:
@@ -353,11 +351,11 @@ def phi_moment_table(grid: IntervalGrid, alpha, degree: int) -> tuple[Fraction, 
     spans from the vacuum, and so every moment, are the same on each
     refinement of [0, T): the table is computed on one cell, whatever grid.
     """
-    one = IntervalGrid(grid.total_time, 1)
+    a = Fraction(alpha)
     ints, den = {(): 1}, 1
     out = []
     for _ in range(degree):
-        ints, den = _act(one, {1}, alpha, ints, den)
+        ints, den = _act(grid.total_time, a, {1}, ints, den)
         out.append(Fraction(ints.get((), 0), den))
     return tuple(out)
 

@@ -4,7 +4,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from twostate import fock
@@ -32,6 +32,20 @@ from twostate.fock import (
     table_digits,
 )
 from twostate.spectral import JacobiParams, jacobi_to_moments
+
+alphas = st.fractions(-5, 5, max_denominator=9999)
+times = st.fractions(F(1, 9999), 5, max_denominator=9999)
+
+
+def check_refinement_invariance(alpha, t, n):
+    # the tables run on one cell (ell = T); the N-cell side applies X(T),
+    # the sum of the N increments (ell = T/N), to the vacuum (psi: to
+    # (1 + alpha X(T)) vacuum), so the drift's gcd reduction differs
+    grid = IntervalGrid(t, n)
+    vacuum = FockVector.vacuum(grid)
+    seeded = c_t_expr(grid, alpha).apply(vacuum, alpha)
+    assert whole_interval_moments(grid, alpha, vacuum, 8) == phi_moment_table(grid, alpha, 8)
+    assert whole_interval_moments(grid, alpha, seeded, 8) == psi_moment_table(grid, alpha, 8)
 
 
 def grid12():
@@ -194,14 +208,23 @@ class TestStates:
 
     @pytest.mark.parametrize("alpha,t", [(F(0), F(1)), (F(1), F(1)), (F(2), F(1, 2))])
     def test_refinement_invariance(self, alpha, t):
-        # the tables run on one cell; each N-cell side applies X(T) = sum of
-        # the N increments to the vacuum (psi: to (1 + alpha X(T)) vacuum)
         for n in (1, 2, 4, 8):
-            grid = IntervalGrid(t, n)
-            vacuum = FockVector.vacuum(grid)
-            seeded = c_t_expr(grid, alpha).apply(vacuum, alpha)
-            assert whole_interval_moments(grid, alpha, vacuum, 8) == phi_moment_table(grid, alpha, 8)
-            assert whole_interval_moments(grid, alpha, seeded, 8) == psi_moment_table(grid, alpha, 8)
+            check_refinement_invariance(alpha, t, n)
+
+    @settings(max_examples=25, deadline=None)
+    @given(alpha=alphas, t=times, n=st.integers(1, 8))
+    @example(alpha=F(-5, 6), t=F(4, 3), n=6)
+    def test_refinement_invariance_rational(self, alpha, t, n):
+        check_refinement_invariance(alpha, t, n)
+
+    @pytest.mark.parametrize("forms", [(-3, F(-3), "-3"), (F(-3, 7), "-3/7"), (0, F(0), "0"), (F(5, 2), "5/2")])
+    def test_alpha_may_be_int_fraction_or_str(self, forms):
+        grid = IntervalGrid(F(6, 5), 3)
+        v = random_vector(grid, random.Random(5))
+        expr = OperatorExpr.interval(grid, 1, 2) ** 2 - OperatorExpr.increment(grid, 3)
+        applied = [expr.apply(v, alpha) for alpha in forms]
+        tables = [phi_moment_table(grid, alpha, 6) for alpha in forms]
+        assert all(w == applied[0] for w in applied) and all(t == tables[0] for t in tables)
 
     def test_refinement_invariance_of_subinterval_polynomials(self):
         # X over [0, 1/2) as one cell of a 2-grid or two cells of a 4-grid
@@ -585,10 +608,6 @@ def combine(a, b, sign):
     for word, c in b.items():
         out[word] = out.get(word, F(0)) + sign * c
     return nonzero(out)
-
-
-alphas = st.fractions(-5, 5, max_denominator=9999)
-times = st.fractions(F(1, 9999), 5, max_denominator=9999)
 
 
 class TestProperties:
