@@ -11,6 +11,10 @@ order, M_psi = 1 + sum_k r_k z^k M_psi^k and
 M_phi = 1 + sum_k R_k z^k M_psi^(k-1) M_phi, split by the block that holds 1.
 The partition sums themselves (_two_state_sum, _peel) are kept as the
 transforms' independent oracle for the tests and `selfcheck`.
+
+mixed_moment takes the partition route: it splits the sum over a word's
+non-crossing partitions by the block that holds the first position, an
+interval recursion that builds no partition.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
 
-from .partitions import _check_cap, _noncrossing
+from .partitions import _check_cap
 
 Rationals = tuple[Fraction, ...]
 
@@ -244,24 +248,56 @@ def brownian_family(alpha, total_time, count: int, order: int = 8, beta=1) -> In
     return IncrementFamilySpec.from_whole_interval(whole, count, total_time)
 
 
+def _word_sum(word, outer: list[int], inner: list[int]) -> int:
+    # The block V that holds the first position takes only positions with
+    # its letter; the positions in V's gaps form inner blocks, those after its
+    # last element stay at its level. nested[a][b] sums positions a..b-1 as
+    # inner blocks, top[a] positions a..n-1 at the top level, and for the
+    # first position i, ends[v][k] sums the gap products over the blocks
+    # i = v_1 < ... < v_k = v. The cumulants are graded integers, order 0
+    # first, and a block stops growing past the highest nonzero order.
+    n = len(word)
+    height = max((k for k in range(1, n + 1) if outer[k] or inner[k]), default=1)
+    nested = [[1] * (n + 1) for _ in range(n + 1)]
+    top = [1] * (n + 1)
+    for i in range(n - 1, -1, -1):
+        ends = {i: [0, 1] + [0] * (height - 1)}
+        for v in range(i + 1, n):
+            if word[v] == word[i]:
+                ends[v] = [0, 0] + [sum(sizes[k - 1] * nested[u + 1][v] for u, sizes in ends.items())
+                                    for k in range(2, height + 1)]
+        closed = [(v, sum(map(mul, sizes, inner)), sum(map(mul, sizes, outer))) for v, sizes in ends.items()]
+        for j in range(i + 1, n + 1):
+            nested[i][j] = sum(as_inner * nested[v + 1][j] for v, as_inner, _ in closed if v < j)
+        top[i] = sum(as_outer * top[v + 1] for v, _, as_outer in closed)
+    return top[0]
+
+
 def mixed_moment(family: IncrementFamilySpec, word, state: str) -> Fraction:
     """Joint moment of a word of increments under "phi" or "psi".
 
-    Only partitions whose blocks are constant on the word are generated; the
-    rest contribute nothing, since mixed cumulants across distinct increments
-    vanish by two-state free independence.
+    The sum over the word's non-crossing partitions, split by the block that
+    holds the first position, in time polynomial in the word length. Only
+    blocks constant on the word count, since mixed cumulants across distinct
+    increments vanish by two-state free independence. The word length is
+    capped at ENUMERATION_CAP, checked before any work.
     """
     if state not in ("phi", "psi"):
         raise ValueError("state must be 'phi' or 'psi'")
     w = tuple(word)
+    n = len(w)
     if not w:
         return Fraction(1)
     for idx in w:
         if not 1 <= idx <= family.count:
             raise ValueError(f"increment index {idx} out of range 1..{family.count}")
     spec = family.per_increment
-    if len(w) > spec.order:
+    if n > spec.order:
         raise ValueError("word longer than the truncation order")
-    _check_cap(len(w))
-    outer = spec.r_phi_psi if state == "phi" else spec.r_psi
-    return _two_state_sum(_noncrossing(len(w), w), outer, spec.r_psi)
+    _check_cap(n)
+    # graded as in _lifted: a partition of n points carries scale^n
+    outer, inner = (spec.r_phi_psi if state == "phi" else spec.r_psi)[:n], spec.r_psi[:n]
+    scale = math.lcm(*(c.denominator for c in outer + inner))
+    graded = [[0] + [c.numerator * (scale**k // c.denominator) for k, c in enumerate(seq, start=1)]
+              for seq in (outer, inner)]
+    return Fraction(_word_sum(w, *graded), scale**n)

@@ -16,7 +16,7 @@ ENUMERATION_CAP = 12
 
 
 class SizeLimitError(ValueError):
-    """Raised when an enumeration request exceeds ENUMERATION_CAP."""
+    """Raised when an enumeration, or a mixed moment's word, exceeds ENUMERATION_CAP."""
 
 
 @dataclass(frozen=True)
@@ -139,16 +139,13 @@ def _classify_unchecked(p: SetPartition) -> BlockClassification:
     return BlockClassification(frozenset(inner), outer, singles)
 
 
-def _noncrossing(n: int, word=None) -> list[tuple[tuple[tuple[int, ...], ...], tuple[bool, ...]]]:
+def _noncrossing(n: int) -> list[tuple[tuple[tuple[int, ...], ...], tuple[bool, ...]]]:
     # Every non-crossing partition of {1..n} with per-block inner flags, built
     # directly. A stack holds the open blocks; each element joins one of them
     # or opens a new block on top. Joining a block closes every block above
     # it, and exactly those closed blocks are inner: the joined block has
     # elements on both sides of them. Trying the open blocks bottom-up, then
     # the new block, yields restricted-growth-string lexicographic order.
-    # Given a word of length n, element x joins only blocks whose first
-    # element carries the same letter, so only partitions finer than the
-    # word's kernel are generated; the flags of those are unchanged.
     out = []
     blocks: list[list[int]] = []
     inner: list[bool] = []
@@ -159,8 +156,6 @@ def _noncrossing(n: int, word=None) -> list[tuple[tuple[tuple[int, ...], ...], t
             out.append((tuple(map(tuple, blocks)), tuple(inner)))
             return
         for depth in range(len(stack)):
-            if word is not None and word[blocks[stack[depth]][0] - 1] != word[x - 1]:
-                continue
             closed = stack[depth + 1:]
             del stack[depth + 1:]
             for label in closed:

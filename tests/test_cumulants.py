@@ -1,6 +1,7 @@
 import itertools
 import random
 import time
+import tracemalloc
 from fractions import Fraction as F
 
 import pytest
@@ -233,6 +234,35 @@ class TestMixedMoments:
         family = brownian_family(F(1), F(2), 3, order=8)
         assert mixed_moment(family, (1, 2, 2, 1), "phi") == mixed_moment(family, (3, 1, 1, 3), "phi")
 
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_every_three_letter_word_matches_the_kernel_filtered_sum(self, n):
+        # dense generic cumulants, nonzero at every order, so blocks of every
+        # size and both kinds of block weight take part
+        spec = TwoStateElementSpec(
+            (F(2, 3), F(-5, 7), F(3, 11), F(-7, 13), F(1, 17), F(4, 19)),
+            (F(-1, 2), F(3, 5), F(-2, 9), F(5, 23), F(-3, 29), F(6, 31)),
+        )
+        family = IncrementFamilySpec(3, spec, F(1))
+        for word in itertools.product((1, 2, 3), repeat=n):
+            for state in ("phi", "psi"):
+                assert mixed_moment(family, word, state) == _oracle_mixed_moment(family, word, state), (word, state)
+
+    def test_one_letter_word_builds_no_partition_list(self):
+        # the enumeration this replaced held all 16,796 partitions of the
+        # word at once, an 8.9 MB traced peak
+        family = brownian_family(F(787, 2), F(7977, 1189), 3, order=10)
+        per = family.per_increment
+        before = partitions._nc_table.cache_info()
+        tracemalloc.start()
+        try:
+            got = mixed_moment(family, (3,) * 10, "phi")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+        assert partitions._nc_table.cache_info() == before
+        assert got == moments_from_two_state_cumulants(per.r_phi_psi, per.r_psi, 10)[9]
+
 
 class TestFamilySpec:
     def test_per_increment_scaling(self):
@@ -291,6 +321,16 @@ def _oracle_two_state_moments(outer, inner, n):
     return tuple(cumulants._two_state_sum(partitions._nc_table(j), outer, inner) for j in range(1, n + 1))
 
 
+def _oracle_mixed_moment(family, word, state):
+    # the unpruned sum: every non-crossing partition, kept only when each
+    # block is constant on the word
+    spec = family.per_increment
+    outer = spec.r_phi_psi if state == "phi" else spec.r_psi
+    kept = [(blocks, inner_flags) for blocks, inner_flags in partitions._nc_table(len(word))
+            if all(word[x - 1] == word[block[0] - 1] for block in blocks for x in block)]
+    return cumulants._two_state_sum(kept, outer, spec.r_psi)
+
+
 def _oracle_free_moments(c, n):
     return _oracle_two_state_moments(c, c, n)
 
@@ -316,7 +356,7 @@ def _pad(moments):
 
 
 class TestEnumerationCap:
-    # mixed_moment is the one entry point here that still enumerates
+    # mixed_moment enumerates nothing, but keeps the cap on its word length
     CALLS = {
         "mixed_moment": lambda: mixed_moment(brownian_family(F(1), F(1), 2, order=4), (1, 2, 2, 1), "phi"),
     }
@@ -324,7 +364,7 @@ class TestEnumerationCap:
     @pytest.mark.parametrize("name", sorted(CALLS))
     def test_checked_before_any_table_is_built(self, name, monkeypatch):
         built = []
-        monkeypatch.setattr(cumulants, "_noncrossing", lambda n, word: built.append(n) or [])
+        monkeypatch.setattr(cumulants, "_word_sum", lambda word, outer, inner: built.append(len(word)) or 0)
         monkeypatch.setattr(partitions, "ENUMERATION_CAP", 3)
         with pytest.raises(SizeLimitError, match="^n=4 exceeds the enumeration cap 3$"):
             self.CALLS[name]()
@@ -360,7 +400,7 @@ class TestEnumerationCap:
     def test_transforms_have_no_enumeration_cap(self, name, monkeypatch):
         prepare, transform = self.TRANSFORMS[name]
         args, expected = prepare()
-        monkeypatch.setattr(cumulants, "_noncrossing", lambda n, word=None: pytest.fail("a transform enumerated partitions"))
+        monkeypatch.setattr(partitions, "_noncrossing", lambda n: pytest.fail("a transform enumerated partitions"))
         monkeypatch.setattr(partitions, "ENUMERATION_CAP", 3)
         got = transform(*args)
         assert len(got) == ORDER
@@ -418,20 +458,10 @@ class TestSeriesMatchesPartitionOracle:
         assert two_state_cumulants_from_moments(m, inner) == _oracle_two_state_cumulants(m, inner)
 
     @settings(max_examples=40, deadline=None)
-    @given(data=dense_sequences(2, min_size=9, max_size=9), count=st.integers(1, 4), state=st.sampled_from(["phi", "psi"]),
-           letters=st.lists(st.integers(0, 3), max_size=9))
+    @given(data=dense_sequences(2, min_size=10, max_size=10), count=st.integers(1, 4), state=st.sampled_from(["phi", "psi"]),
+           letters=st.lists(st.integers(0, 3), max_size=10))
     def test_kernel_pruned_mixed_moment(self, data, count, state, letters):
-        # the unpruned sum: every non-crossing partition, kept only when each
-        # block is constant on the word; dense cumulants cover beta != 1
+        # dense cumulants cover beta != 1 and families that are not Brownian
         family = IncrementFamilySpec(count, TwoStateElementSpec(*data), F(1))
         word = tuple(x % count + 1 for x in letters)
-        spec = family.per_increment
-        expected = F(1) if not word else F(0)
-        for blocks, inner_flags in (partitions._nc_table(len(word)) if word else ()):
-            if any(word[x - 1] != word[block[0] - 1] for block in blocks for x in block):
-                continue
-            term = F(1)
-            for block, inner in zip(blocks, inner_flags):
-                term *= spec.r_phi_psi[len(block) - 1] if state == "phi" and not inner else spec.r_psi[len(block) - 1]
-            expected += term
-        assert mixed_moment(family, word, state) == expected
+        assert mixed_moment(family, word, state) == _oracle_mixed_moment(family, word, state)

@@ -17,7 +17,7 @@ from twostate.partitions import (
     refines,
     stirling2,
 )
-from twostate.partitions import _nc_table, _noncrossing
+from twostate.partitions import _nc_table
 from twostate.variations import _lemma_shapes
 
 BELL = [1, 1, 2, 5, 15, 52, 203, 877, 4140, 21147, 115975]
@@ -117,12 +117,15 @@ class TestNonCrossing:
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_word_keeps_exactly_the_kernel_refinements(self, n):
-        # every word over three letters: the pruned generator yields the
-        # table's entries whose blocks are constant on the word, in order
+        # every word over three letters: the table's entries whose blocks are
+        # constant on the word, the filter the mixed-moment oracle sums over,
+        # are the non-crossing partitions finer than the word's kernel, in order
         for word in itertools.product("abc", repeat=n):
-            kept = [(blocks, flags) for blocks, flags in _nc_table(n)
+            kernel = SetPartition.from_blocks(
+                n, [[x for x in range(1, n + 1) if word[x - 1] == letter] for letter in set(word)])
+            kept = [blocks for blocks, _ in _nc_table(n)
                     if all(word[x - 1] == word[b[0] - 1] for b in blocks for x in b)]
-            assert _noncrossing(n, word) == kept
+            assert kept == [p.blocks for p in enumerate_nc(n) if refines(p, kernel)]
 
     @pytest.mark.parametrize("n", range(1, 11))
     def test_pairs_singletons_route_agrees_with_filter(self, n):
