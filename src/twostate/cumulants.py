@@ -14,7 +14,8 @@ transforms' independent oracle for the tests and `selfcheck`.
 
 mixed_moment takes the partition route: it splits the sum over a word's
 non-crossing partitions by the block that holds the first position, an
-interval recursion that builds no partition.
+interval recursion that builds no partition. Both engines enter through one
+prologue, `_graded`: length and order-cap checks, then the integer lift.
 """
 
 from __future__ import annotations
@@ -72,34 +73,36 @@ def _check_order(n: int) -> None:
         raise ValueError(f"order {n} exceeds the transform order cap {TRANSFORM_ORDER_CAP}")
 
 
-def _lifted(solve, n: int | None, *sequences) -> Rationals:
-    # Every transform's prologue: convert, check length n (None: the first
-    # sequence's) and the cap, then solve on x_k lifted to scale^k x_k, scale a
-    # common denominator. The relations are homogeneous in this grading (a
-    # partition of {1..k} carries scale^k), so solve runs on integers and
-    # returns the lifted answer, order 0 first.
-    seqs = [as_rationals(seq) for seq in sequences]
-    n = len(seqs[0]) if n is None else n
+def _graded(n: int, seqs) -> tuple[int, list[list[int]]]:
+    # Check length n and the cap, then lift x_k to scale^k x_k, scale a common
+    # denominator, as int lists order 0 first. The sums are homogeneous in
+    # this grading (a partition of {1..k} carries scale^k), so they run on ints.
     shortest = min(map(len, seqs))
     if shortest < n:
         raise ValueError(f"need {n} terms per sequence, got {shortest}")
     _check_order(n)
     seqs = [seq[:max(n, 0)] for seq in seqs]
     scale = math.lcm(*(c.denominator for seq in seqs for c in seq))
-    graded = [[c.numerator * (scale**k // c.denominator) for k, c in enumerate(seq, start=1)] for seq in seqs]
+    return scale, [[0] + [c.numerator * (scale**k // c.denominator) for k, c in enumerate(seq, 1)] for seq in seqs]
+
+
+def _lifted(solve, n: int | None, *sequences) -> Rationals:
+    # every transform: graded to length n (None: the first sequence's), solved on ints
+    seqs = [as_rationals(seq) for seq in sequences]
+    scale, graded = _graded(len(seqs[0]) if n is None else n, seqs)
     return tuple(Fraction(x, scale**k) for k, x in enumerate(solve(*graded)[1:], start=1))
 
 
 def _free_series(known: list[int], invert: bool) -> tuple[list[int], list[int], list[list[int]]]:
     # Solve M = 1 + sum_k r_k z^k M^k order by order: given the cumulants
-    # r_1..r_n, or with invert the moments m_1..m_n, return (m, r, powers)
-    # with m[0] = 1 and powers[k] the coefficients of M^k, of degree up to
-    # n - k. At order j the one-block term is r_j; every other partition is in
-    # rest = sum_{k<j} r_k [z^(j-k)] M^k, so m_j = r_j + rest and
-    # r_j = m_j - rest.
+    # r_1..r_n, or with invert the moments m_1..m_n, graded and order 0 first,
+    # return (m, r, powers) with m[0] = 1 and powers[k] the coefficients of
+    # M^k, of degree up to n - k. At order j the one-block term is r_j; every
+    # other partition is in rest = sum_{k<j} r_k [z^(j-k)] M^k, so
+    # m_j = r_j + rest and r_j = m_j - rest.
     m, r = [1], [0]
     powers = [[1], m]
-    for j, x in enumerate(known, start=1):
+    for j, x in enumerate(known[1:], start=1):
         for k in range(2, j):
             powers[k].append(sum(map(mul, powers[k - 1], m[j - k::-1])))
         powers.append([1])
@@ -117,7 +120,7 @@ def _two_state_series(known: list[int], inner: list[int], invert: bool) -> tuple
     # _free_series, R_j enters phi_j once, through g_j.
     powers = _free_series(inner, invert=False)[2]
     phi, big_r, g = [1], [0], [0]
-    for j, x in enumerate(known, start=1):
+    for j, x in enumerate(known[1:], start=1):
         g_rest = sum(big_r[k] * powers[k - 1][j - k] for k in range(2, j))
         rest = g_rest + sum(map(mul, g[1:j], phi[j - 1:0:-1]))
         phi.append(x if invert else x + rest)
@@ -286,18 +289,10 @@ def mixed_moment(family: IncrementFamilySpec, word, state: str) -> Fraction:
         raise ValueError("state must be 'phi' or 'psi'")
     w = tuple(word)
     n = len(w)
-    if not w:
-        return Fraction(1)
     for idx in w:
         if not 1 <= idx <= family.count:
             raise ValueError(f"increment index {idx} out of range 1..{family.count}")
-    spec = family.per_increment
-    if n > spec.order:
-        raise ValueError("word longer than the truncation order")
     _check_cap(n)
-    # graded as in _lifted: a partition of n points carries scale^n
-    outer, inner = (spec.r_phi_psi if state == "phi" else spec.r_psi)[:n], spec.r_psi[:n]
-    scale = math.lcm(*(c.denominator for c in outer + inner))
-    graded = [[0] + [c.numerator * (scale**k // c.denominator) for k, c in enumerate(seq, start=1)]
-              for seq in (outer, inner)]
+    spec = family.per_increment
+    scale, graded = _graded(n, (spec.r_phi_psi if state == "phi" else spec.r_psi, spec.r_psi))
     return Fraction(_word_sum(w, *graded), scale**n)

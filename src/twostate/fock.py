@@ -10,12 +10,13 @@ anywhere, so every state evaluation below is exact.
 Vectors and operator expressions share one format, int numerators over one
 common denominator, and the action and the expression arithmetic run on it.
 Fractions appear only at the edges: the public constructors and the read-outs
-(`FockVector.coef` and `OperatorExpr.terms` are reduced). alpha and the cell
-length enter the action as numerator/denominator pairs, and nothing is kept
-between passes. The product checks never expand an operator product: they
-apply its factors to the vector from right to left, and the freeness check
-reads every psi value off one seeded vector, (1 + alpha X(T)) Omega. The
-martingale and conditional-expectation checks read phi[B* Y] as
+(`FockVector.coef` and `OperatorExpr.terms` are reduced); the constructors
+also refuse a letter that is not a cell, so words are checked once, at entry.
+alpha and the cell length enter the action as numerator/denominator pairs,
+and nothing is kept between passes. The product checks never expand an
+operator product: they apply its factors right to left, and the freeness
+check reads every psi value off one seeded vector, (1 + alpha X(T)) Omega.
+The martingale and conditional-expectation checks read phi[B* Y] as
 <B Omega, Y Omega>, so no adjoint of the past B is applied. An expression is
 applied factored on the leading letters of its words; letters with equal
 tails share one pass over the tail's image, so X(I)^p costs p passes.
@@ -78,6 +79,9 @@ class _Sparse:
 
     def __init__(self, grid: IntervalGrid, coef: dict[Word, Fraction] | None = None):
         coef = {w: Fraction(c) for w, c in (coef or {}).items() if c}
+        bad = [i for w in coef for i in w if not 1 <= i <= grid.cells]
+        if bad:
+            raise ValueError(f"cell index {min(bad)} out of range 1..{grid.cells}")
         self.grid = grid
         self.den = math.lcm(*(c.denominator for c in coef.values()))
         self.ints = {w: c.numerator * (self.den // c.denominator) for w, c in coef.items()}
@@ -278,9 +282,6 @@ class OperatorExpr(_Sparse):
         """
         if v.grid != self.grid:
             raise ValueError("grid mismatch")
-        bad = [i for i in self.support_cells() if not 1 <= i <= self.grid.cells]
-        if bad:
-            raise ValueError(f"cell index {min(bad)} out of range 1..{self.grid.cells}")
         ints, den = _image(self.grid.cell_length, Fraction(alpha), v, self.ints.items())
         return FockVector._from_ints(self.grid, ints, den * self.den)
 
@@ -437,6 +438,8 @@ def elementary_tensor(grid: IntervalGrid, groups) -> FockVector:
     """chi_{I1}^{k1} tensor ... tensor chi_{In}^{kn} expanded in cell words."""
     words: list[Word] = [()]
     for (lo, hi), degree in groups:
+        if not 1 <= lo <= hi <= grid.cells:
+            raise ValueError("bad cell range")
         words = [w + x for w in words for x in itertools.product(range(lo, hi + 1), repeat=max(degree, 0))]
     return FockVector._from_ints(grid, dict.fromkeys(words, 1), 1)
 

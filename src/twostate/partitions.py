@@ -28,7 +28,7 @@ class SetPartition:
 
     @staticmethod
     def from_blocks(n: int, blocks) -> "SetPartition":
-        canon = tuple(sorted((tuple(sorted(b)) for b in blocks), key=lambda b: b[0]))
+        canon = tuple(sorted((tuple(sorted(b)) for b in blocks), key=lambda b: b[:1]))  # () first, refused below
         seen: set[int] = set()
         for block in canon:
             if not block:

@@ -165,8 +165,6 @@ def _lemma_shapes(n: int) -> tuple[tuple[tuple[int, int, int, int, int], int], .
     pairing {(1,2),...,(2n-1,2n)}; join size is |join(sigma, tau)|. They are
     counted, never built, by the memoized transfer `_rest` over positions 1..2n.
     """
-    if n < 1:
-        raise ValueError("n must be positive")
     _check_centered_power(2, n)  # the packing base holds counts up to 2 LEMMA_POWER_CAP
     shapes = []
     for key, count in _rest(2 * n, (), -1, False).items():
@@ -200,17 +198,17 @@ def centered_qv_moment(family: IncrementFamilySpec, n: int, method: str = "brute
     memoized left-to-right transfer counts by shape (join size with the
     adjacent pairing, blocks, singletons, inner free and inner adjacent pairs)
     without building them; each shape is weighted once (n <= 16,
-    Brownian-shaped families only).
+    Brownian-shaped families only). Both methods need n >= 1.
     """
     if method == "bruteforce":
         if 2 * n > BRUTEFORCE_WORD_CAP:
             raise ValueError(f"bruteforce supports n <= {BRUTEFORCE_WORD_CAP // 2}")
+        _check_centered_power(2, n)
         if family.order < 2 * n:
             raise ValueError("family truncation order too small")
         return _qv_bruteforce(family, n)
     if method == "lemma_sum":
-        _check_centered_power(2, n)
-        return _qv_lemma_sum(family, n)
+        return centered_power_moment(family, 2, n)
     raise ValueError("method must be 'bruteforce' or 'lemma_sum'")
 
 
@@ -238,6 +236,8 @@ def sandwich_variation(grid: IntervalGrid, alpha, sandwiched: OperatorExpr, wind
 
 def _check_centered_power(k: int, m: int) -> None:
     _check_power(k)
+    if m < 1:
+        raise ValueError("n must be positive")
     if k == 2 and m > LEMMA_POWER_CAP:
         raise ValueError(f"lemma_sum supports n <= {LEMMA_POWER_CAP}")
     if k != 2 and k * m > BRUTEFORCE_WORD_CAP:

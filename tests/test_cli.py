@@ -1,10 +1,12 @@
 import contextlib
+import dataclasses
 import io
 import json
 import os
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -126,6 +128,37 @@ class TestChecks:
         assert code == 0
         summary = json.loads(out.strip().splitlines()[-1])
         assert summary["failures"] == 0
+
+    def test_freeness_failure_exits_1(self, capsys, monkeypatch):
+        # the first product, X_1 centered, is reported with a nonzero psi value
+        real, calls = fock.freeness_check, []
+
+        def fails_once(grid, alpha, factors):
+            report = real(grid, alpha, factors)
+            calls.append(factors)
+            return dataclasses.replace(report, psi_of_product=Fraction(1)) if len(calls) == 1 else report
+
+        monkeypatch.setattr(fock, "freeness_check", fails_once)
+        code, out = run(capsys, "freeness-check", "--alpha", "1", "--T", "1", "--N", "2", "--max-len", "2")
+        assert code == 1
+        assert out.splitlines() == ['{"ok": false, "word": [[1, 1]]}', json.dumps({"checked": len(calls), "failures": 1})]
+        assert len(calls) == 12
+
+    def test_martingale_failure_exits_1(self, capsys, monkeypatch):
+        # the first case, n = 0 at t = 1, s = 2 with the identity past, is off by one
+        real, calls = fock.martingale_check, []
+
+        def fails_once(*args):
+            lhs, rhs = real(*args)
+            calls.append(args)
+            return (lhs, rhs + 1) if len(calls) == 1 else (lhs, rhs)
+
+        monkeypatch.setattr(fock, "martingale_check", fails_once)
+        code, out = run(capsys, "martingale-check", "--alpha", "1", "--T", "1", "--N", "3", "--n-max", "1")
+        assert code == 1
+        assert out.splitlines() == ['{"n": 0, "ok": false, "s_cells": 2, "t_cells": 1}',
+                                    json.dumps({"checked": len(calls), "failures": 1})]
+        assert len(calls) == 3 * 2 * 3
 
     def test_generator(self, capsys):
         code, out = run(capsys, "generator-check", "--alpha", "1/2", "--n-max", "6")

@@ -121,6 +121,30 @@ class TestOperatorExpr:
         with pytest.raises(ValueError, match="out of range"):
             OperatorExpr(grid, {word: F(1)}).apply(FockVector.vacuum(grid), F(1))
 
+    @pytest.mark.parametrize("cls", [FockVector, OperatorExpr])
+    @pytest.mark.parametrize("word,bad", [((5,), 5), ((3,), 3), ((1, 3), 3), ((0, 2, 1), 0)])
+    def test_words_are_checked_at_construction(self, cls, word, bad):
+        with pytest.raises(ValueError, match=f"^cell index {bad} out of range 1..2$"):
+            cls(grid12(), {(1,): F(1), word: F(2)})
+
+    def test_apply_does_not_rescan_the_support(self, monkeypatch):
+        grid = grid12()
+        expr = OperatorExpr(grid, {(1, 2): F(1), (2,): F(-1, 3)})
+        monkeypatch.setattr(OperatorExpr, "support_cells", lambda self: pytest.fail("apply rescanned the support"))
+        assert expr.apply(FockVector.vacuum(grid), F(1)).coef == {(1, 2): 1, (2,): F(1, 6)}
+
+    @pytest.mark.parametrize("build,message", [
+        (lambda: IntervalGrid(F(1), 0), "cells must be positive"),
+        (lambda: IntervalGrid(F(0), 2), "total_time must be positive"),
+        (lambda: OperatorExpr.interval(grid12(), 2, 1), "bad cell range"),
+        (lambda: OperatorExpr.interval(grid12(), 0, 1), "bad cell range"),
+        (lambda: OperatorExpr.interval(grid12(), 1, 3), "bad cell range"),
+        (lambda: OperatorExpr.increment(grid12(), 1) ** -1, "negative exponent"),
+    ], ids=["zero_cells", "zero_time", "reversed_range", "range_before_grid", "range_past_grid", "negative_power"])
+    def test_malformed_input_rejected(self, build, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            build()
+
     def test_identity(self):
         grid = grid12()
         rng = random.Random(1)
@@ -141,6 +165,16 @@ class TestOperatorExpr:
     def test_grid_mismatch(self):
         with pytest.raises(ValueError):
             OperatorExpr.identity(grid12()).apply(FockVector.vacuum(IntervalGrid(F(1), 3)), F(1))
+
+    @pytest.mark.parametrize("combine", [
+        lambda g, h: FockVector.vacuum(g) + FockVector.vacuum(h),
+        lambda g, h: FockVector.vacuum(g).inner(FockVector.vacuum(h)),
+        lambda g, h: OperatorExpr.increment(g, 1) + OperatorExpr.increment(h, 1),
+        lambda g, h: OperatorExpr.increment(g, 1) * OperatorExpr.increment(h, 1),
+    ], ids=["vector_sum", "inner", "expr_sum", "expr_product"])
+    def test_arithmetic_across_grids_rejected(self, combine):
+        with pytest.raises(ValueError, match="^grid mismatch$"):
+            combine(grid12(), IntervalGrid(F(1), 3))
 
     def test_adjoint_reverses(self):
         grid = grid12()
@@ -275,6 +309,22 @@ class TestProductLemma:
         grid = IntervalGrid(F(1), 4)
         with pytest.raises(ValueError):
             product_lemma_vector(grid, F(1), [((1, 2), 1), ((2, 3), 1)])
+
+    @pytest.mark.parametrize("groups,message", [
+        ([], "need at least one interval group"),
+        ([((1, 1), -1)], "degrees must be nonnegative"),
+        ([((1, 1), 1), ((2, 2), -1)], "degrees must be nonnegative"),
+    ], ids=["no_groups", "negative_degree", "negative_second_degree"])
+    def test_malformed_groups_rejected(self, groups, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            product_lemma_vector(IntervalGrid(F(1), 2), F(1), groups)
+
+    @pytest.mark.parametrize("groups", [
+        [((0, 3), 1)], [((0, 1), 1)], [((1, 3), 1)], [((2, 1), 1)], [((1, 1), 1), ((2, 3), 0)],
+    ], ids=["both_ends_outside", "before_grid", "past_grid", "reversed", "outside_at_degree_zero"])
+    def test_elementary_tensor_rejects_ranges_outside_the_grid(self, groups):
+        with pytest.raises(ValueError, match="^bad cell range$"):
+            elementary_tensor(IntervalGrid(F(1), 2), groups)
 
     def test_mixed_zero_degree_rejected(self):
         # P_1 Q_0 would hit the bare vacuum, where the centered factor picks
@@ -511,6 +561,11 @@ class TestKernel:
     def test_shifted_kernel_orthogonal_to_vacuum(self, depth):
         assert kernel_shift_vacuum_pairing(F(1), F(4), 1, 2, depth) == 0
         assert kernel_shift_vacuum_pairing(F(1), F(4), 2, 4, depth) == 0
+
+    @pytest.mark.parametrize("s_cells,cells", [(2, 2), (3, 2), (0, 2)])
+    def test_shift_must_be_an_earlier_chunk(self, s_cells, cells):
+        with pytest.raises(ValueError, match="^need 1 <= s_cells < cells$"):
+            kernel_shift_vacuum_pairing(F(1), F(4), s_cells, cells, 3)
 
     @pytest.mark.parametrize("fn", [lambda: kernel_vector(IntervalGrid(F(1), 1), 0, 3),
                                     lambda: kernel_shift_vacuum_pairing(0, 1, 1, 2, 3)],

@@ -181,6 +181,11 @@ class TestIntForm:
             with pytest.raises(ValueError):
                 BivariatePolynomial({key: 1})
 
+    @pytest.mark.parametrize("base", [BivariatePolynomial.one(), BivariatePolynomial({(1, 1): F(2, 3)})])
+    def test_negative_exponent_rejected(self, base):
+        with pytest.raises(ValueError, match="^negative exponent$"):
+            base ** -1
+
 
 class TestDifferenceQuotient:
     """(f(x) - f(y)) / (x - y) inside `l_apply`, with y^j read off explicit moment polynomials."""

@@ -273,3 +273,15 @@ class TestSerialization:
             SetPartition.from_blocks(3, [(1, 2)])
         with pytest.raises(ValueError):
             SetPartition.from_blocks(3, [(1, 2), (2, 3)])
+
+    @pytest.mark.parametrize("call,message", [
+        (lambda: SetPartition.from_blocks(2, [(1, 2), ()]), "empty block"),
+        (lambda: SetPartition.from_blocks(0, [()]), "empty block"),
+        (lambda: enumerate_set_partitions(0), "n must be positive"),
+        (lambda: enumerate_nc(0), "n must be positive"),
+        (lambda: stirling2(-1, 0), "arguments must be nonnegative"),
+        (lambda: refines(part((1,), (2,)), part((1, 2, 3))), "size mismatch"),
+    ], ids=["empty_block", "only_an_empty_block", "set_partitions_of_0", "nc_of_0", "stirling_negative", "refines_sizes"])
+    def test_malformed_input_rejected(self, call, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            call()

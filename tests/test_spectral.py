@@ -16,6 +16,7 @@ from twostate.rational import parse_rational
 from twostate.spectral import (
     AtomLocationError,
     JacobiParams,
+    Measure,
     NotAMeasureError,
     atom_location,
     atom_mass,
@@ -298,6 +299,16 @@ class TestMeasures:
     def test_ct_requires_drift(self):
         with pytest.raises(ValueError):
             ct_law(F(0), F(1))
+
+    @pytest.mark.parametrize("make,message", [
+        (lambda: semicircle_law(F(1), F(0)), "time parameter must be positive"),
+        (lambda: free_poisson_law(F(1), F(-1)), "time parameter must be positive"),
+        (lambda: ct_law(F(1), F(0)), "time parameter must be positive"),
+        (lambda: Measure("gamma", F(1), F(1)), "unknown measure kind 'gamma'"),
+    ], ids=["semicircle_zero_time", "free_poisson_negative_time", "ct_zero_time", "unknown_kind"])
+    def test_malformed_measure_rejected(self, make, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            make()
 
     def test_atom_hit_flagged(self):
         mu = free_poisson_law(F(1), F(4))

@@ -274,6 +274,33 @@ class TestCenteredQuadraticVariation:
         with pytest.raises(ValueError):
             centered_qv_moment(brownian_family(F(1), F(1), 2), 2, "guess")
 
+    @pytest.mark.parametrize("method", ["bruteforce", "lemma_sum"])
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_both_methods_need_a_positive_power(self, method, n):
+        with pytest.raises(ValueError, match="^n must be positive$"):
+            centered_qv_moment(brownian_family(F(1), F(1), 2), n, method)
+
+    def test_lemma_method_is_the_quadratic_centered_power(self, monkeypatch):
+        family = brownian_family(F(1, 2), F(3, 2), 3)
+        real, calls = variations.centered_power_moment, []
+        monkeypatch.setattr(variations, "centered_power_moment", lambda f, k, m: calls.append((k, m)) or real(f, k, m))
+        values = [centered_qv_moment(family, n, "lemma_sum") for n in (1, 2, 3)]
+        assert calls == [(2, 1), (2, 2), (2, 3)]
+        assert values == [real(family, 2, n) for n in (1, 2, 3)]
+
+    @pytest.mark.parametrize("call,message", [
+        (lambda: centered_qv_moment(brownian_family(F(1), F(1), 2, order=4), 3, "bruteforce"),
+         "family truncation order too small"),
+        (lambda: psi_variation(brownian_family(F(1), F(1), 2, order=2), 3), "family truncation order too small for k"),
+        (lambda: sandwich_variation(IntervalGrid(F(1), 4), F(1), OperatorExpr.identity(IntervalGrid(F(1), 4)), 1),
+         "window must start after the first cell and inside the grid"),
+        (lambda: sandwich_variation(IntervalGrid(F(1), 4), F(1), OperatorExpr.identity(IntervalGrid(F(1), 4)), 5),
+         "window must start after the first cell and inside the grid"),
+    ], ids=["bruteforce_order", "psi_variation_order", "window_at_first_cell", "window_past_grid"])
+    def test_guards(self, call, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            call()
+
 
 class TestSandwich:
     def make_sandwiched(self, grid, quarter_cells, alpha):
@@ -404,3 +431,14 @@ class TestQuadraticPowerRoute:
     def test_zeroth_power_is_refused_by_the_lemma(self):
         with pytest.raises(ValueError, match="n must be positive"):
             centered_power_moment(brownian_family(F(1), F(1), 2), 2, 0)
+
+    @pytest.mark.parametrize("call", [
+        lambda f: centered_power_moment(f, 1, 0),
+        lambda f: centered_power_moment(f, 3, 0),
+        lambda f: centered_power_moment(f, 3, -1),
+        lambda f: norm_2n_table(f, 2, 0),
+        lambda f: norm_2n_table(f, 3, -1),
+    ], ids=["k1_m0", "k3_m0", "k3_m-1", "norm_k2_0", "norm_k3_-1"])
+    def test_non_positive_power_refused_at_every_k(self, call):
+        with pytest.raises(ValueError, match="^n must be positive$"):
+            call(brownian_family(F(1), F(1), 2))
