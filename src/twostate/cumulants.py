@@ -13,8 +13,8 @@ The partition sums themselves (_two_state_sum, _peel) are kept as the
 transforms' independent oracle for the tests and `selfcheck`.
 
 mixed_moment takes the partition route: it splits the sum over a word's
-non-crossing partitions by the block that holds the first position, an
-interval recursion that builds no partition. Both engines enter through one
+non-crossing partitions by the block that holds the first position and
+lists none, so no enumeration cap applies. Both engines enter through one
 prologue, `_graded`: length and order-cap checks, then the integer lift.
 """
 
@@ -24,8 +24,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
-
-from .partitions import _check_cap
 
 Rationals = tuple[Fraction, ...]
 
@@ -60,11 +58,13 @@ def _peel(moments, forward) -> Rationals:
     return tuple(c)
 
 
-# Highest order the series transforms accept, checked before any work: the
-# power table of M_psi holds about order^2 / 2 coefficients. brownian_cumulants
-# checks it too, so no consumer is handed a longer vector. At the cap, on
-# cumulants with denominators up to 99, the forward transforms take 0.2-0.4 s
-# and the inverses on their moments (955- to 1,544-bit denominators) 11-24 s.
+# Highest order the series transforms accept and longest word mixed_moment
+# takes, checked before any work: the power table of M_psi holds about
+# order^2 / 2 coefficients. brownian_cumulants checks it too, so no consumer
+# is handed a longer vector. At the cap (2-CPU VM), on cumulants with
+# denominators up to 99, the forward transforms take 0.2-0.4 s, the inverses
+# on their moments (955- to 1,544-bit denominators) 11-24 s, and mixed_moment
+# on a one-letter word 1.5-1.9 s (13 ms on Brownian cumulants).
 TRANSFORM_ORDER_CAP = 64
 
 
@@ -282,17 +282,15 @@ def mixed_moment(family: IncrementFamilySpec, word, state: str) -> Fraction:
     The sum over the word's non-crossing partitions, split by the block that
     holds the first position, in time polynomial in the word length. Only
     blocks constant on the word count, since mixed cumulants across distinct
-    increments vanish by two-state free independence. The word length is
-    capped at ENUMERATION_CAP, checked before any work.
+    increments vanish by two-state free independence. A word longer than the
+    family's order or TRANSFORM_ORDER_CAP is refused before any work.
     """
     if state not in ("phi", "psi"):
         raise ValueError("state must be 'phi' or 'psi'")
     w = tuple(word)
-    n = len(w)
     for idx in w:
         if not 1 <= idx <= family.count:
             raise ValueError(f"increment index {idx} out of range 1..{family.count}")
-    _check_cap(n)
     spec = family.per_increment
-    scale, graded = _graded(n, (spec.r_phi_psi if state == "phi" else spec.r_psi, spec.r_psi))
-    return Fraction(_word_sum(w, *graded), scale**n)
+    scale, graded = _graded(len(w), (spec.r_phi_psi if state == "phi" else spec.r_psi, spec.r_psi))
+    return Fraction(_word_sum(w, *graded), scale ** len(w))

@@ -211,9 +211,7 @@ class OperatorExpr(_Sparse):
 
     @staticmethod
     def increment(grid: IntervalGrid, i: int) -> "OperatorExpr":
-        if not 1 <= i <= grid.cells:
-            raise ValueError(f"cell index {i} out of range 1..{grid.cells}")
-        return OperatorExpr._from_ints(grid, {(i,): 1}, 1)
+        return OperatorExpr(grid, {(i,): 1})
 
     @staticmethod
     def interval(grid: IntervalGrid, first_cell: int, last_cell: int) -> "OperatorExpr":

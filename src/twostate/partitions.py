@@ -16,7 +16,7 @@ ENUMERATION_CAP = 12
 
 
 class SizeLimitError(ValueError):
-    """Raised when an enumeration, or a mixed moment's word, exceeds ENUMERATION_CAP."""
+    """Raised when an enumeration of set or non-crossing partitions exceeds ENUMERATION_CAP."""
 
 
 @dataclass(frozen=True)

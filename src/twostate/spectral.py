@@ -47,7 +47,8 @@ class JacobiParams:
     """Recursion coefficients (beta_0, beta_1, ...; gamma_1, gamma_2, ...).
 
     terminated marks a gamma equal to zero: the continued fraction stops there
-    and deeper coefficients are immaterial (treated as zero).
+    and deeper coefficients read as zero. Otherwise beta() and gamma() refuse a
+    coefficient past the depth: the one depth check, which the callers run first.
     """
 
     betas: Rationals
@@ -117,9 +118,10 @@ def moments_to_jacobi(moments) -> JacobiParams:
 
 def jacobi_to_moments(params: JacobiParams, n: int) -> Rationals:
     """Moments m_1..m_n from Jacobi parameters via weighted Motzkin paths."""
-    if not params.terminated:
-        if len(params.betas) < (n + 1) // 2 or len(params.gammas) < n // 2:
-            raise ValueError(f"insufficient depth for {n} moments")
+    if n > 0:  # read the deepest coefficients first, so short params fail before any work
+        params.beta((n - 1) // 2)
+    if n > 1:
+        params.gamma(n // 2)
     height = n // 2 + 1
     state = [Fraction(0)] * (height + 2)
     state[0] = Fraction(1)
@@ -174,9 +176,10 @@ def shift_moments_by_series(moments, t, n: int) -> Rationals:
 
 def orthogonal_polynomials(params: JacobiParams, n: int) -> list[BivariatePolynomial]:
     """Monic orthogonal polynomials P_0..P_n from the three-term recursion."""
-    if not params.terminated:
-        if len(params.betas) < n or (n > 1 and len(params.gammas) < n - 1):
-            raise ValueError(f"insufficient depth for degree {n}")
+    if n > 0:  # read the deepest coefficients first, so short params fail before any work
+        params.beta(n - 1)
+    if n > 1:
+        params.gamma(n - 1)
     polys = [BivariatePolynomial.one()]
     if n >= 1:
         polys.append(BivariatePolynomial.x() - BivariatePolynomial.constant(params.beta(0)))

@@ -186,6 +186,10 @@ class TestChecks:
         code, out = run(capsys, "selfcheck", "--alpha", "1", "--T", "1", "--N", "4", "--order", "6")
         assert code == 0
         assert out.strip().splitlines()[-1] == "passed 12/12"
+        # one cell: mixed-moments-vs-fock skips the words with a letter 2
+        code, out = run(capsys, "selfcheck", "--alpha", "1", "--T", "1", "--N", "1", "--order", "6")
+        assert code == 0
+        assert out.strip().splitlines()[-1] == "passed 12/12"
 
     def test_selfcheck_quadrature_overflow_exits_2(self):
         # the quadrature item overflows a float at this alpha: one error line
@@ -356,6 +360,9 @@ class TestPlumbing:
             (["fock-moments", "--alpha", "12345678901234567890/98765432109876543211",
               "--T", "12345678901234567890/98765432109876543211", "--N", "1", "--degree", "200"],
              "error: --degree 200 at this --alpha and --T can print 8115-digit numbers, past the 4300-digit limit of integer output"),
+            # --k 33 needs 66-letter words: the family's order passes the transform order cap
+            (["variation-table", "--alpha", "1/2", "--T", "1", "--k", "33", "--N-list", "1,4,8"],
+             f"error: order 66 exceeds the transform order cap {TRANSFORM_ORDER_CAP}"),
         ],
     )
     def test_count_caps_name_the_flag(self, capsys, argv, message):
@@ -375,20 +382,22 @@ class TestPlumbing:
              "--degree", str(fock.TABLE_DEGREE_CAP)],
             ["fock-moments", "--alpha", "12345678901234567890/98765432109876543211",
              "--T", "12345678901234567890/98765432109876543211", "--N", "1", "--degree", "100"],
+            # 14-letter mixed moments, past partitions.ENUMERATION_CAP, which bounds only enumerations
+            ["variation-table", "--alpha", "1/2", "--T", "1", "--k", "7", "--N-list", "1"],
         ],
     )
     def test_counts_at_or_below_the_caps_run(self, capsys, argv):
         code, out = run(capsys, *argv)
         assert code == 0
-        # a header, one row per sample or degree, and density's atom line
+        # a header, one row per sample, degree or N (a one-N list), and density's atom line
         assert len(out.splitlines()) == int(argv[-1]) + 1 + (argv[0] == "density")
 
     @pytest.mark.parametrize("cap,message", [(3, "error: n=4 exceeds the enumeration cap 3")])
     def test_cap_errors_exit_2(self, capsys, monkeypatch, cap, message):
-        # the k = 2 table needs the mixed moment of a word of length 4, which
-        # enumerates partitions; the moment transforms no longer do
+        # selfcheck's transform item sums the partition oracle at --order,
+        # which enumerates; mixed moments and the transforms no longer do
         monkeypatch.setattr(partitions, "ENUMERATION_CAP", cap)
-        code = main(["variation-table", "--alpha", "1", "--beta", "1", "--T", "1", "--k", "2", "--N-list", "2"])
+        code = main(["selfcheck", "--alpha", "1", "--T", "1", "--N", "2", "--order", "4"])
         captured = capsys.readouterr()
         assert code == 2
         assert captured.err.splitlines() == [message]

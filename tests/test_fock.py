@@ -140,7 +140,10 @@ class TestOperatorExpr:
         (lambda: OperatorExpr.interval(grid12(), 0, 1), "bad cell range"),
         (lambda: OperatorExpr.interval(grid12(), 1, 3), "bad cell range"),
         (lambda: OperatorExpr.increment(grid12(), 1) ** -1, "negative exponent"),
-    ], ids=["zero_cells", "zero_time", "reversed_range", "range_before_grid", "range_past_grid", "negative_power"])
+        (lambda: OperatorExpr.increment(grid12(), 3), "cell index 3 out of range 1..2"),
+        (lambda: OperatorExpr.increment(grid12(), 0), "cell index 0 out of range 1..2"),
+    ], ids=["zero_cells", "zero_time", "reversed_range", "range_before_grid", "range_past_grid", "negative_power",
+            "increment_past_grid", "increment_before_grid"])
     def test_malformed_input_rejected(self, build, message):
         with pytest.raises(ValueError, match=f"^{message}$"):
             build()
@@ -150,6 +153,7 @@ class TestOperatorExpr:
         rng = random.Random(1)
         v = random_vector(grid, rng)
         assert OperatorExpr.identity(grid).apply(v, F(1)) == v
+        assert (FockVector.vacuum(grid) == 1) is False
 
     def test_product_on_vacuum(self):
         grid = grid12()
@@ -193,6 +197,7 @@ class TestOperatorExpr:
         grid = grid12()
         x = OperatorExpr.interval(grid, 1, 2)
         assert (x**3).terms == (x * x * x).terms
+        assert (x * 3).terms == (3 * x).terms == x.scaled(3).terms == {(1,): 3, (2,): 3}
 
     def test_general_apply_matches_fast_path(self):
         # the same sum of increments squared in one factored apply and as two
@@ -288,6 +293,20 @@ class TestStates:
         for word in itertools.product((1, 2, 3), repeat=5):
             assert mixed_moment(family, word, "phi") == state_phi(word_expr(grid, word), alpha)
             assert mixed_moment(family, word, "psi") == state_psi_t(word_expr(grid, word), alpha)
+
+    # 13-20 letters: past partitions.ENUMERATION_CAP, which bounds no mixed moment
+    @settings(max_examples=30, deadline=None)
+    @given(alpha=st.builds(F, st.integers(-20, 20), st.integers(1, 9)), t=st.builds(F, st.integers(1, 20), st.integers(1, 9)),
+           count=st.integers(1, 3), letters=st.lists(st.integers(0, 2), min_size=13, max_size=20))
+    @example(alpha=F(0), t=F(1), count=2, letters=[0, 1, 1, 0] * 4)
+    @example(alpha=F(-3, 7), t=F(5, 3), count=3, letters=[0, 1, 2, 2, 1, 0] * 3)
+    def test_long_words_agree_with_cumulant_engine(self, alpha, t, count, letters):
+        grid = IntervalGrid(t, count)
+        word = tuple(x % count + 1 for x in letters)
+        family = brownian_family(alpha, t, count, order=len(word))
+        expr = word_expr(grid, word)
+        assert mixed_moment(family, word, "phi") == state_phi(expr, alpha)
+        assert mixed_moment(family, word, "psi") == state_psi_t(expr, alpha)
 
 
 class TestProductLemma:

@@ -56,6 +56,10 @@ class TestPolynomialArithmetic:
     def test_zero_pruning(self):
         assert (X - X).is_zero()
         assert not (X + T).is_zero()
+        assert (X + T == 1) is False
+        assert (X - 1) + 1 == X
+        assert repr(X**2 * T - F(1, 2)) == "-1/2 + 1*x^2*t"
+        assert repr(X - X) == "0"
 
 
 def _canonical(p: BivariatePolynomial) -> BivariatePolynomial:

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from twostate import spectral
 from twostate.cumulants import (
     moments_from_free_cumulants,
     moments_from_two_state_cumulants,
@@ -156,9 +157,14 @@ class TestJacobiMoments:
         jac = JacobiParams((F(3),), (F(0),), terminated=True)
         assert jacobi_to_moments(jac, 5) == (3, 9, 27, 81, 243)
 
-    def test_depth_guard(self):
-        with pytest.raises(ValueError):
-            jacobi_to_moments(JacobiParams((F(0),), (F(1),)), 4)
+    def test_depth_guard(self, monkeypatch):
+        # the accessors hold the one depth check, and it runs before the walk
+        shallow, no_gamma_2 = JacobiParams((F(0),), (F(1),)), JacobiParams((F(0), F(1)), (F(1),))
+        monkeypatch.setattr(spectral, "Fraction", lambda *args: pytest.fail("the walk started"))
+        with pytest.raises(ValueError, match=r"^beta_1 not available \(depth 1\)$"):
+            jacobi_to_moments(shallow, 4)
+        with pytest.raises(ValueError, match=r"^gamma_2 not available \(depth 1\)$"):
+            jacobi_to_moments(no_gamma_2, 4)
 
     @pytest.mark.parametrize("alpha,t", [(F(0), F(1)), (F(1), F(1)), (F(2), F(1, 2))])
     def test_matches_cumulant_engine(self, alpha, t):
@@ -229,9 +235,13 @@ class TestOrthogonalPolynomials:
         shift = BivariatePolynomial.constant(t)
         assert polys[2] == (x - shift) * (x - shift) - BivariatePolynomial.constant(t)
 
-    def test_depth_guard(self):
-        with pytest.raises(ValueError):
+    def test_depth_guard(self, monkeypatch):
+        # the accessors hold the one depth check, and it runs before any polynomial is built
+        monkeypatch.setattr(spectral, "BivariatePolynomial", None)
+        with pytest.raises(ValueError, match=r"^beta_1 not available \(depth 1\)$"):
             orthogonal_polynomials(JacobiParams((F(0),), ()), 2)
+        with pytest.raises(ValueError, match=r"^gamma_1 not available \(depth 0\)$"):
+            orthogonal_polynomials(JacobiParams((F(0), F(1)), ()), 2)
 
     @pytest.mark.parametrize("alpha,t", [(F(1), F(1)), (F(2), F(1, 2)), (F(1, 2), F(3))])
     def test_shift_composition(self, alpha, t):
@@ -325,6 +335,7 @@ class TestMeasures:
         mu = free_poisson_law(F(1), F(1, 2))
         # -1/alpha lies outside the support when the atom mass is zero
         assert density_eval(mu, F(-1)) == 0.0
+        assert density_eval(ct_law(F(1, 2), F(1)), 5.0) == 0.0
 
     def test_exact_moments_match_engine(self):
         alpha, t = F(1), F(1)

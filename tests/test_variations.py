@@ -66,6 +66,13 @@ class TestSecondMoment:
         report = variation_second_moment(brownian_family(F(1), F(1), 2), 3)
         assert report.value == fock_power_moment(F(1), F(1), 2, 3, 2, 0)
 
+    @pytest.mark.parametrize("count", [1, 2])
+    def test_seventh_power_against_fock(self, count):
+        # 14-letter words, past partitions.ENUMERATION_CAP, which bounds no mixed moment
+        alpha, t = F(1, 2), F(3, 2)
+        report = variation_second_moment(brownian_family(alpha, t, count, order=14), 7)
+        assert report.value == fock_power_moment(alpha, t, count, 7, 2, 0)
+
     def test_order_guard(self):
         with pytest.raises(ValueError):
             variation_second_moment(brownian_family(F(1), F(1), 2, order=4), 3)
