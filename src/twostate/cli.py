@@ -15,8 +15,6 @@ from fractions import Fraction
 
 from . import fock, generator, spectral, variations
 from .cumulants import (
-    _peel,
-    _two_state_sum,
     brownian_cumulants,
     brownian_family,
     free_cumulants_from_moments,
@@ -25,7 +23,7 @@ from .cumulants import (
     moments_from_two_state_cumulants,
     two_state_cumulants_from_moments,
 )
-from .partitions import _check_cap, _nc_table, enumerate_nc, enumerate_set_partitions
+from .partitions import enumerate_nc, enumerate_set_partitions
 from .rational import parse_rational
 
 MEASURE_NAMES = {"nu": spectral.semicircle_law, "mu": spectral.free_poisson_law, "ct": spectral.ct_law}
@@ -33,6 +31,11 @@ MEASURE_NAMES = {"nu": spectral.semicircle_law, "mu": spectral.free_poisson_law,
 # memory until the atom line is written. Whole processes on a 2-CPU VM took
 # 0.25 s at 10,000 samples; 100,000 took 2.3 s and 1,000,000 took 20 s.
 DENSITY_SAMPLE_CAP = 10_000
+# Highest selfcheck --order, checked before any work: the inverse transforms
+# grow with the heights of the flags. With 20-digit --alpha and --T, whole
+# selfcheck processes on a 2-CPU VM took 0.34 s at order 12, 1.3 s at 24,
+# 4.6 s at 32 and 299 s at 64.
+SELFCHECK_ORDER_CAP = 12
 
 
 def _emit(lines, path: str | None) -> None:
@@ -254,13 +257,13 @@ def _selfcheck_items(alpha: Fraction, t: Fraction, big_n: int, order: int):
             assert len(enumerate_nc(n)) == c
 
     def transform_roundtrips():
-        # the series transforms against the partition sums, their oracle
-        assert psi_m == tuple(_two_state_sum(_nc_table(j), inner, inner) for j in range(1, order + 1))
-        oracle = _peel(psi_m, lambda j, c: _two_state_sum(_nc_table(j), c, c))
-        assert free_cumulants_from_moments(psi_m) == oracle == inner
-        assert phi_m == tuple(_two_state_sum(_nc_table(j), outer, inner) for j in range(1, order + 1))
-        oracle = _peel(phi_m, lambda j, outer_c: _two_state_sum(_nc_table(j), outer_c, inner))
-        assert two_state_cumulants_from_moments(phi_m, inner) == oracle == outer
+        # the series against the first-block recursion on one increment that
+        # carries the whole-interval cumulants, then back by the inverses
+        family = brownian_family(alpha, t, 1, order=order)
+        assert phi_m == tuple(mixed_moment(family, (1,) * j, "phi") for j in range(1, order + 1))
+        assert psi_m == tuple(mixed_moment(family, (1,) * j, "psi") for j in range(1, order + 1))
+        assert free_cumulants_from_moments(psi_m) == inner
+        assert two_state_cumulants_from_moments(phi_m, inner) == outer
 
     def cross_representation():
         grid = fock.IntervalGrid(t, big_n)
@@ -340,8 +343,7 @@ def _selfcheck_items(alpha: Fraction, t: Fraction, big_n: int, order: int):
 
 
 def cmd_selfcheck(args) -> int:
-    _check_count("order", args.order, 4)
-    _check_cap(args.order)  # the transforms' partition-sum oracle enumerates
+    _check_count("order", args.order, 4, maximum=SELFCHECK_ORDER_CAP)
     _check_count("N", args.N, maximum=fock.CELL_CAP)
     items = _selfcheck_items(args.alpha, args.T, args.N, args.order)
     lines = []

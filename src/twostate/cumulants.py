@@ -6,16 +6,13 @@ block. The two-state cumulants reconstruct moments of the primary state by the
 same sum, except that outer blocks carry the two-state cumulant and inner
 blocks the free one. Everything is exact rational arithmetic.
 
-The public transforms solve the generating-series form of these sums order by
-order, M_psi = 1 + sum_k r_k z^k M_psi^k and
+The module holds two engines for these sums, and neither lists a partition.
+The transforms solve their generating-series form order by order,
+M_psi = 1 + sum_k r_k z^k M_psi^k and
 M_phi = 1 + sum_k R_k z^k M_psi^(k-1) M_phi, split by the block that holds 1.
-The partition sums themselves (_two_state_sum, _peel) are kept as the
-transforms' independent oracle for the tests and `selfcheck`.
-
-mixed_moment takes the partition route: it splits the sum over a word's
-non-crossing partitions by the block that holds the first position and
-lists none, so no enumeration cap applies. Both engines enter through one
-prologue, `_graded`: length and order-cap checks, then the integer lift.
+mixed_moment splits the sum over a word's non-crossing partitions by the
+block that holds the first position. Both enter through one prologue,
+`_graded`: length and order-cap checks, then the integer lift.
 """
 
 from __future__ import annotations
@@ -30,32 +27,6 @@ Rationals = tuple[Fraction, ...]
 
 def as_rationals(values) -> Rationals:
     return tuple(Fraction(v) for v in values)
-
-
-def _two_state_sum(partitions, outer, inner) -> Fraction:
-    # Sum over the given (blocks, inner_flags) of the product over blocks of
-    # outer[|block|-1] for an outer block and inner[|block|-1] for an inner
-    # one. With outer = inner the flags do not matter: that is the free sum.
-    total = Fraction(0)
-    for blocks, inner_flags in partitions:
-        term = Fraction(1)
-        for block, is_inner in zip(blocks, inner_flags):
-            term *= inner[len(block) - 1] if is_inner else outer[len(block) - 1]
-            if term == 0:
-                break
-        total += term
-    return total
-
-
-def _peel(moments, forward) -> Rationals:
-    # Invert a moment formula one order at a time. Only the one-block
-    # partition has a block of size j, so with a zero placeholder for the
-    # unknown j-th cumulant the forward sum is the sum over all the others.
-    c: list[Fraction] = []
-    for j, m in enumerate(moments, start=1):
-        c.append(Fraction(0))
-        c[-1] = m - forward(j, c)
-    return tuple(c)
 
 
 # Highest order the series transforms accept and longest word mixed_moment

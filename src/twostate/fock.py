@@ -422,6 +422,8 @@ def product_lemma_vector(grid: IntervalGrid, alpha, groups) -> FockVector:
         raise ValueError("degrees must be nonnegative")
     if any(d == 0 for d in degrees) and any(d > 0 for d in degrees):
         raise ValueError("degrees must be all positive or all zero")
+    if any(not 1 <= lo <= hi <= grid.cells for (lo, hi), _ in groups):
+        raise ValueError("bad cell range")
     for ((lo1, hi1), _), ((lo2, hi2), _) in zip(groups, groups[1:]):
         if not (hi1 < lo2 or hi2 < lo1):
             raise ValueError("consecutive intervals overlap")

@@ -212,8 +212,8 @@ class Measure:
             raise ValueError("time parameter must be positive")
         if self.kind not in (SEMICIRCLE, FREE_POISSON, CT_LAW):
             raise ValueError(f"unknown measure kind {self.kind!r}")
-        if self.kind == CT_LAW and self.alpha == 0:
-            raise ValueError("the C law needs a nonzero drift")
+        if self.kind != SEMICIRCLE and self.alpha == 0:  # free_poisson_law gives the semicircle there
+            raise ValueError(f"the {'C' if self.kind == CT_LAW else 'free Poisson'} law needs a nonzero drift")
 
 
 def semicircle_law(alpha, t) -> Measure:
@@ -310,7 +310,8 @@ def quadrature_moment(measure: Measure, n: int) -> float:
     The substitution x = center + 2 sqrt(t) cos(theta) absorbs the square-root
     edge factor, leaving a smooth periodic integrand for the midpoint rule on
     QUADRATURE_NODES nodes. numpy is imported on the first call. Raises
-    ValueError, naming alpha and t, on float overflow or an invalid operation.
+    ValueError, naming alpha and t, on float overflow or an invalid operation,
+    and for the free Poisson and C laws when 0 < |alpha^2 t - 1| < 1/100.
     """
     if not 0 <= n <= 12:
         raise ValueError(f"quadrature_moment supports 0 <= n <= 12, got {n}")
@@ -318,6 +319,14 @@ def quadrature_moment(measure: Measure, n: int) -> float:
 
     # numpy scalars, so that the errstate below also guards the scalar products
     alpha, t = np.float64(measure.alpha), np.float64(measure.time)
+    # Near alpha^2 t = 1 the pole of 1/(1 + alpha x) lies within about 1/nodes
+    # of the support edge, and the midpoint rule misses mass there. At alpha = 1
+    # the worst |quadrature - exact| over n <= 12 was 1.3e-4 at a distance of
+    # 1/2000, 1.8e-7 at 1/200, 1.1e-8 at 0.0065 and at most 1.5e-9 from 1/100
+    # on; at distance 0 the integrand is smooth.
+    if measure.kind != SEMICIRCLE and 0 < abs(measure.alpha**2 * measure.time - 1) < Fraction(1, 100):
+        raise ValueError(f"the quadrature misses mass at the pole of 1/(1 + alpha x) at alpha={alpha:g}, t={t:g}: "
+                         "alpha^2 t is within 1/100 of 1")
     nodes = QUADRATURE_NODES
     try:
         with np.errstate(over="raise", invalid="raise", divide="raise", under="ignore"):

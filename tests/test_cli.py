@@ -205,6 +205,21 @@ class TestChecks:
         assert report[-1] == "passed 11/12"
         assert sum(row.startswith("ok ") for row in report) == 11
 
+    @pytest.mark.parametrize("params", [["--alpha", "9973/9998", "--T", "9967/9931", "--N", "4"],
+                                        ["--alpha", "1", "--T", "1001/1000"]])
+    def test_selfcheck_refuses_the_quadrature_near_the_pole(self, capsys, params):
+        # 0 < |alpha^2 T - 1| < 1/100: the quadrature cannot run, which is
+        # exit 2, not a failed identity
+        code = main(["selfcheck", *params])
+        captured = capsys.readouterr()
+        assert code == 2
+        (line,) = captured.err.splitlines()
+        assert line.startswith("error: quadrature-normalization: the quadrature misses mass at the pole")
+        report = captured.out.splitlines()
+        assert report[6] == "ERROR " + line.removeprefix("error: ")
+        assert not any(row.startswith("FAIL") for row in report)
+        assert report[-1] == "passed 11/12"
+
     def test_selfcheck_keeps_its_report_when_an_item_raises(self, capsys):
         code = main(["selfcheck", "--alpha", "1" + "0" * 400, "--T", "1"])
         captured = capsys.readouterr()
@@ -335,6 +350,9 @@ class TestPlumbing:
             ["variation-table", "--alpha", "1", "--T", "1", "--k", "2", "--n", "2", "--N-list", "2"],
             # the exact residual is never 0, so a 0.0 is a float underflow
             ["kernel-residual", "--alpha", "1e300", "--t", "1e300", "--depth", "3"],
+            # refused before Fraction builds the power of ten
+            ["moments", "--alpha", "1e1000000", "--T", "1", "--order", "8"],
+            ["moments", "--alpha", "1e100000000", "--T", "1", "--order", "8"],
         ],
     )
     def test_malformed_input_exits_2(self, capsys, argv):
@@ -394,10 +412,11 @@ class TestPlumbing:
 
     @pytest.mark.parametrize("cap,message", [(3, "error: n=4 exceeds the enumeration cap 3")])
     def test_cap_errors_exit_2(self, capsys, monkeypatch, cap, message):
-        # selfcheck's transform item sums the partition oracle at --order,
-        # which enumerates; mixed moments and the transforms no longer do
+        # norm-table at k != 2 expands (sum_i X_i^k)^(2n) over the set
+        # partitions of its 2n factors; mixed moments, the transforms and
+        # selfcheck enumerate nothing
         monkeypatch.setattr(partitions, "ENUMERATION_CAP", cap)
-        code = main(["selfcheck", "--alpha", "1", "--T", "1", "--N", "2", "--order", "4"])
+        code = main(["norm-table", "--alpha", "1", "--T", "1", "--N", "2", "--k", "1", "--n-max", "2"])
         captured = capsys.readouterr()
         assert code == 2
         assert captured.err.splitlines() == [message]

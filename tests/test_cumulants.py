@@ -350,8 +350,35 @@ class TestFamilySpec:
         assert time.perf_counter() - start < 1
 
 
+# The partition sums, the transforms' and mixed_moment's enumeration oracle.
+def _two_state_sum(partitions, outer, inner) -> F:
+    # Sum over the given (blocks, inner_flags) of the product over blocks of
+    # outer[|block|-1] for an outer block and inner[|block|-1] for an inner
+    # one. With outer = inner the flags do not matter: that is the free sum.
+    total = F(0)
+    for blocks, inner_flags in partitions:
+        term = F(1)
+        for block, is_inner in zip(blocks, inner_flags):
+            term *= inner[len(block) - 1] if is_inner else outer[len(block) - 1]
+            if term == 0:
+                break
+        total += term
+    return total
+
+
+def _peel(moments, forward) -> cumulants.Rationals:
+    # Invert a moment formula one order at a time. Only the one-block
+    # partition has a block of size j, so with a zero placeholder for the
+    # unknown j-th cumulant the forward sum is the sum over all the others.
+    c: list[F] = []
+    for j, m in enumerate(moments, start=1):
+        c.append(F(0))
+        c[-1] = m - forward(j, c)
+    return tuple(c)
+
+
 def _oracle_two_state_moments(outer, inner, n):
-    return tuple(cumulants._two_state_sum(partitions._nc_table(j), outer, inner) for j in range(1, n + 1))
+    return tuple(_two_state_sum(partitions._nc_table(j), outer, inner) for j in range(1, n + 1))
 
 
 @functools.lru_cache(maxsize=None)
@@ -369,7 +396,7 @@ def _oracle_mixed_moment(family, word, state):
     outer = spec.r_phi_psi if state == "phi" else spec.r_psi
     labels = {}
     pattern = tuple(labels.setdefault(letter, len(labels)) for letter in word)
-    return cumulants._two_state_sum(_kernel_rows(pattern), outer, spec.r_psi)
+    return _two_state_sum(_kernel_rows(pattern), outer, spec.r_psi)
 
 
 def _oracle_free_moments(c, n):
@@ -377,11 +404,11 @@ def _oracle_free_moments(c, n):
 
 
 def _oracle_two_state_cumulants(m, inner):
-    return cumulants._peel(m, lambda j, outer: cumulants._two_state_sum(partitions._nc_table(j), outer, inner))
+    return _peel(m, lambda j, outer: _two_state_sum(partitions._nc_table(j), outer, inner))
 
 
 def _oracle_free_cumulants(m):
-    return cumulants._peel(m, lambda j, c: cumulants._two_state_sum(partitions._nc_table(j), c, c))
+    return _peel(m, lambda j, c: _two_state_sum(partitions._nc_table(j), c, c))
 
 
 # One past the default enumeration cap. The oracle is compared on the first

@@ -333,8 +333,13 @@ class TestProductLemma:
         ([], "need at least one interval group"),
         ([((1, 1), -1)], "degrees must be nonnegative"),
         ([((1, 1), 1), ((2, 2), -1)], "degrees must be nonnegative"),
-    ], ids=["no_groups", "negative_degree", "negative_second_degree"])
-    def test_malformed_groups_rejected(self, groups, message):
+        # the last group is applied first: only the up-front check reaches the first
+        ([((0, 1), 1), ((2, 2), 1)], "bad cell range"),
+        ([((1, 1), 1), ((2, 3), 1)], "bad cell range"),
+    ], ids=["no_groups", "negative_degree", "negative_second_degree", "first_range_outside", "last_range_outside"])
+    def test_malformed_groups_rejected(self, groups, message, monkeypatch):
+        # every group is checked before the first pass over the vector
+        monkeypatch.setattr(fock, "_act", lambda *args: pytest.fail("an _act pass ran before the checks"))
         with pytest.raises(ValueError, match=f"^{message}$"):
             product_lemma_vector(IntervalGrid(F(1), 2), F(1), groups)
 

@@ -315,7 +315,9 @@ class TestMeasures:
         (lambda: free_poisson_law(F(1), F(-1)), "time parameter must be positive"),
         (lambda: ct_law(F(1), F(0)), "time parameter must be positive"),
         (lambda: Measure("gamma", F(1), F(1)), "unknown measure kind 'gamma'"),
-    ], ids=["semicircle_zero_time", "free_poisson_negative_time", "ct_zero_time", "unknown_kind"])
+        # free_poisson_law gives the semicircle at alpha = 0; the constructor has no law to give
+        (lambda: Measure("free-poisson", F(0), F(1)), "the free Poisson law needs a nonzero drift"),
+    ], ids=["semicircle_zero_time", "free_poisson_negative_time", "ct_zero_time", "unknown_kind", "free_poisson_no_drift"])
     def test_malformed_measure_rejected(self, make, message):
         with pytest.raises(ValueError, match=f"^{message}$"):
             make()
@@ -431,6 +433,22 @@ class TestQuadrature:
                 for (dx, _), c in product.coeffs.items()
             )
             assert total == pytest.approx(0.0, abs=1e-8)
+
+    @pytest.mark.parametrize("alpha,t", [(F(1), F(1001, 1000)), (F(1), F(999, 1000)), (F(9973, 9998), F(9967, 9931)),
+                                         (F(2), F(1, 4) + F(1, 10**9))])
+    @pytest.mark.parametrize("make", [free_poisson_law, ct_law])
+    def test_refused_near_the_pole(self, alpha, t, make):
+        # 0 < |alpha^2 t - 1| < 1/100: the midpoint rule would miss mass at
+        # the pole of 1/(1 + alpha x), next to the support edge
+        with pytest.raises(ValueError, match=r"pole .* alpha\^2 t is within 1/100 of 1$"):
+            quadrature_moment(make(alpha, t), 0)
+
+    @pytest.mark.parametrize("t", [F(99, 100), F(101, 100)])
+    @pytest.mark.parametrize("make", [free_poisson_law, ct_law])
+    def test_accepted_just_outside_the_pole_window(self, t, make):
+        measure = make(F(1), t)
+        for n in range(0, 13):
+            assert quadrature_moment(measure, n) == pytest.approx(float(exact_moment(measure, n)), abs=1e-8)
 
     @pytest.mark.parametrize("alpha,t", GRID)
     @pytest.mark.parametrize("kind", ["nu", "mu", "ct"])
