@@ -21,6 +21,7 @@ from .cumulants import (
     mixed_moment,
     moments_from_free_cumulants,
     moments_from_two_state_cumulants,
+    table_digits,
     two_state_cumulants_from_moments,
 )
 from .partitions import enumerate_nc, enumerate_set_partitions
@@ -68,9 +69,19 @@ def _emit_tally(failure_lines: list[str], checked: int, path: str | None) -> int
     return 0 if failures == 0 else 1
 
 
+def _check_digits(digits: int, inputs: str) -> None:
+    # A table whose numbers could pass Python's limit on integer output is
+    # refused before any work, naming the flags that set its size.
+    limit = sys.get_int_max_str_digits()
+    if limit and digits > limit:
+        raise ValueError(f"{inputs} can print {digits}-digit numbers, past the {limit}-digit limit of integer output")
+
+
 def cmd_moments(args) -> int:
     _check_count("order", args.order)
     outer, inner = brownian_cumulants(args.alpha, args.T, args.order, args.beta)
+    _check_digits(table_digits(args.alpha, args.T, args.order, args.beta),
+                  f"--order {args.order} at this --alpha, --T and --beta")
     phi = moments_from_two_state_cumulants(outer, inner, args.order)
     psi = moments_from_free_cumulants(inner, args.order)
     _emit_moment_table(phi, psi, args.output)
@@ -118,10 +129,7 @@ def cmd_density(args) -> int:
 def cmd_fock_moments(args) -> int:
     _check_count("degree", args.degree, maximum=fock.TABLE_DEGREE_CAP)
     _check_count("N", args.N, maximum=fock.CELL_CAP)
-    digits, limit = fock.table_digits(args.alpha, args.T, args.degree), sys.get_int_max_str_digits()
-    if limit and digits > limit:
-        raise ValueError(f"--degree {args.degree} at this --alpha and --T can print {digits}-digit numbers, "
-                         f"past the {limit}-digit limit of integer output")
+    _check_digits(fock.table_digits(args.alpha, args.T, args.degree), f"--degree {args.degree} at this --alpha and --T")
     grid = fock.IntervalGrid(args.T, args.N)
     phi = fock.phi_moment_table(grid, args.alpha, args.degree)
     psi = fock.psi_moment_table(grid, args.alpha, args.degree)
@@ -227,7 +235,7 @@ def cmd_norm_table(args) -> int:
 
 def cmd_generator_check(args) -> int:
     _check_count("n-max", args.n_max, 0, maximum=generator.POLY_DEGREE_CAP)
-    zeros = [residual.is_zero() for residual in generator._ladder(args.n_max, args.alpha)[-1]]
+    zeros = [not residual for residual, _ in generator._ladder(args.n_max, args.alpha)[-1]]
     _emit([json.dumps({"n": n, "residual_is_zero": ok}, sort_keys=True) for n, ok in enumerate(zeros)], args.output)
     return 0 if all(zeros) else 1
 
@@ -318,7 +326,7 @@ def _selfcheck_items(alpha: Fraction, t: Fraction, big_n: int, order: int):
         assert lhs == rhs
 
     def generator_residuals():
-        assert all(residual.is_zero() for residual in generator._ladder(min(order, 8), alpha)[-1])
+        assert not any(residual for residual, _ in generator._ladder(min(order, 8), alpha)[-1])
 
     def product_lemma_sample():
         grid = fock.IntervalGrid(t, max(big_n, 2))

@@ -210,6 +210,25 @@ def brownian_cumulants(alpha, total_time, order: int, beta=1) -> tuple[Rationals
     return (Fraction(0), t) + zeros, (a * t, b * t) + zeros
 
 
+def table_digits(alpha, total_time, order: int, beta=1) -> int:
+    """Most decimal digits of a numerator or denominator in the moment tables
+    of `brownian_cumulants`, phi and psi at orders 1..order.
+
+    Both tables have cumulants only at orders 1 and 2, psi the free
+    (alpha T, beta T) and phi also the two-state (0, T), so moment n sums over
+    the non-crossing partitions of n points into singletons and pairs: fewer
+    than 3^n terms alpha^s beta^p T^m with s, m <= n and p <= n // 2. Over the
+    common denominator b^n d^n f^(n // 2), where alpha = a/b, T = c/d and
+    beta = e/f, each term's numerator is at most
+    H(alpha)^n H(T)^n H(beta)^(n // 2), with H(p/q) = max(|p|, q).
+    """
+    def log_height(x: Fraction) -> float:
+        return math.log10(max(abs(x.numerator), x.denominator))
+
+    a, t, b = Fraction(alpha), Fraction(total_time), Fraction(beta)
+    return 1 + math.floor(order * (math.log10(3) + log_height(a) + log_height(t)) + order // 2 * log_height(b))
+
+
 def brownian_family(alpha, total_time, count: int, order: int = 8, beta=1) -> IncrementFamilySpec:
     """Increment family of the two-state Brownian motion with drift alpha.
 

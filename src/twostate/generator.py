@@ -5,11 +5,19 @@ polynomials q_n, the centered family p_n and the moment polynomials of nu and
 mu have integer coefficients on x^i t^j alpha^k that do not depend on alpha:
 q and p by their monic three-term recursion, nu and mu by counting Motzkin
 paths by their level steps. These tables are built once per process, up to
-POLY_DEGREE_CAP, and each call specializes them at its rational alpha in one
-integer pass. The operator L integrates the difference quotient against the
+POLY_DEGREE_CAP. The operator L integrates the difference quotient against the
 moment polynomials, and the headline identity is d/dt q_n + A_t q_n = 0 with
-A_t = alpha (d/dx - L_mu) + d/dx L_nu. A_t takes the two L images as inputs, so
-one ladder builds q, nu, mu and each L image once for every degree it checks.
+A_t = alpha (d/dx - L_mu) + d/dx L_nu.
+
+The route runs on integer numerators, reduced once per result rather than once
+per operation. A call specializes the tables at alpha = a/b in one integer
+pass, each polynomial as numerators over a power of b, and scales the moments
+of nu and mu once to one common power of b. Each L image, each A_t f and each
+residual d/dt q + A_t q is then one integer pass over (ints, den) pairs, the
+H-series is expanded on numerators, and every equality is a cross-multiplied
+comparison. A `BivariatePolynomial`, reduced by one gcd, is built only where a
+public function returns one, so `generating_function_check` builds none. One
+ladder builds q, nu, mu and each L image once for every degree it checks.
 """
 
 from __future__ import annotations
@@ -67,31 +75,38 @@ def _motzkin_table(level_at_zero: bool) -> list[dict]:
 @lru_cache(maxsize=None)
 def _tables() -> tuple:
     # q_0..q_cap, p_0..p_cap, and the moments m_1..m_cap of nu and of mu; each
-    # polynomial as (top, ((i, j, k, c), ...)), c the int coefficient of
-    # x^i t^j alpha^k and top the largest k
+    # polynomial as (top, (((i, j), k, c), ...)), c the int coefficient of
+    # x^i t^j alpha^k and top the largest k. Every table is homogeneous, with
+    # i + 2j - k the degree, so each (i, j) carries one power of alpha.
     x = {(1, 0, 0): 1}
     families = [_recursion_table(x), _recursion_table({**x, (0, 1, 1): -1})]
     families += [_motzkin_table(True), _motzkin_table(False)]
     return tuple(
-        tuple((max((k for _, _, k in p), default=0), tuple(key + (c,) for key, c in p.items())) for p in family)
+        tuple(
+            (max((k for _, _, k in p), default=0), tuple(((i, j), k, c) for (i, j, k), c in p.items()))
+            for p in family
+        )
         for family in families
     )
 
 
-def _specialized(table, alpha) -> list[BivariatePolynomial]:
-    # sum_k c alpha^k at alpha = a / b, as sum_k c a^k b^(top - k) over b^top
-    a = Fraction(alpha)
+def _specialized_ints(table, a: Fraction) -> list[tuple[dict, int]]:
+    # c alpha^k at alpha = a / b as c a^k b^(top - k) over b^top, one term per
+    # (i, j) since the tables are homogeneous; each polynomial an (ints, den)
+    # pair with no zero numerator, not reduced
+    num, b = a.numerator, a.denominator
     out = []
-    weights: dict[int, list[int]] = {}
+    rows: dict[int, tuple[list[int], int]] = {}
     for top, terms in table:
-        if top not in weights:
-            weights[top] = [a.numerator**k * a.denominator ** (top - k) for k in range(top + 1)]
-        weight = weights[top]
-        ints: dict[tuple[int, int], int] = {}
-        for i, j, k, c in terms:
-            ints[(i, j)] = ints.get((i, j), 0) + c * weight[k]
-        out.append(BivariatePolynomial._from_ints(ints, a.denominator**top))
+        if top not in rows:
+            rows[top] = [num**k * b ** (top - k) for k in range(top + 1)], b**top
+        weight, den = rows[top]
+        out.append(({key: c * weight[k] for key, k, c in terms if weight[k]}, den))
     return out
+
+
+def _specialized(table, alpha) -> list[BivariatePolynomial]:
+    return [BivariatePolynomial._from_ints(ints, den) for ints, den in _specialized_ints(table, Fraction(alpha))]
 
 
 def _check_degree(n_max: int) -> None:
@@ -123,6 +138,24 @@ def mu_moment_polys(n_max: int, alpha) -> list[BivariatePolynomial]:
     return _specialized(_tables()[3][:n_max], alpha)
 
 
+def _over(den: int, moments) -> list[list]:
+    # moments 0..n as (key, numerator) items over den, a multiple of each (ints, den) pair's denominator
+    return [[((0, 0), den)]] + [[(k, n * (den // d)) for k, n in ints.items()] for ints, d in moments]
+
+
+def _l(f: dict, moments: list[list]) -> dict:
+    # numerators of L[f] over f's denominator times the moments' one:
+    # (f(x) - f(y)) / (x - y) per monomial, x^k -> sum_{i+j=k-1} x^i y^j, then y^j -> moment j
+    out: dict[tuple[int, int], int] = {}
+    get = out.get
+    for (dx, dt), c in f.items():
+        for i in range(dx):
+            for (mx, mt), m in moments[dx - 1 - i]:
+                key = (i + mx, dt + mt)
+                out[key] = get(key, 0) + c * m
+    return {key: n for key, n in out.items() if n}
+
+
 def l_apply(f: BivariatePolynomial, measure_moments) -> BivariatePolynomial:
     """L[f](x) = integral of (f(x) - f(y)) / (x - y) over y.
 
@@ -132,49 +165,75 @@ def l_apply(f: BivariatePolynomial, measure_moments) -> BivariatePolynomial:
     needed = f.x_degree() - 1
     if needed > len(measure_moments):
         raise ValueError(f"need {needed} moments, got {len(measure_moments)}")
-    # moments 0..needed as numerators over the lcm of their denominators
-    used = measure_moments[: max(needed, 0)]
-    den = math.lcm(*(m.den for m in used))
-    scaled = [{(0, 0): den}] + [{k: n * (den // m.den) for k, n in m.ints.items()} for m in used]
+    used = [(m.ints, m.den) for m in measure_moments[: max(needed, 0)]]
+    den = math.lcm(*(d for _, d in used))
+    return BivariatePolynomial._from_ints(_l(f.ints, _over(den, used)), f.den * den)
+
+
+def _measures(a: Fraction, count: int) -> tuple[list[list], list[list], int]:
+    # moments 0..count of nu and of mu at alpha = a, over one common power of its denominator
+    nu = _specialized_ints(_tables()[2][:count], a)
+    mu = _specialized_ints(_tables()[3][:count], a)
+    den = math.lcm(*(d for _, d in nu + mu))
+    return _over(den, nu), _over(den, mu), den
+
+
+def _image(f: dict, den: int, a: Fraction, measures, with_d_dt: bool):
+    # L_nu f and L_mu f over den * mden, and A_t f = alpha (d/dx f - L_mu f) +
+    # d/dx L_nu f, plus d/dt f if asked, in one pass over b * den * mden, where
+    # alpha = a / b and the moments are over mden; each an (ints, den) pair
+    nu, mu, mden = measures
+    l_nu, l_mu = _l(f, nu), _l(f, mu)
+    num, b = a.numerator, a.denominator
+    am, bm = num * mden, b * mden
     out: dict[tuple[int, int], int] = {}
-    # (f(x) - f(y)) / (x - y) per monomial: x^k -> sum_{i+j=k-1} x^i y^j, then y^j -> moment j
-    for (dx, dt), c in f.ints.items():
-        for i in range(dx):
-            for (mx, mt), m in scaled[dx - 1 - i].items():
-                key = (i + mx, dt + mt)
-                out[key] = out.get(key, 0) + c * m
-    return BivariatePolynomial._from_ints(out, f.den * den)
+    for (dx, dt), n in f.items():
+        if dx:
+            out[(dx - 1, dt)] = out.get((dx - 1, dt), 0) + am * dx * n
+        if dt and with_d_dt:
+            out[(dx, dt - 1)] = out.get((dx, dt - 1), 0) + bm * dt * n
+    for key, n in l_mu.items():
+        out[key] = out.get(key, 0) - num * n
+    for (dx, dt), n in l_nu.items():
+        if dx:
+            out[(dx - 1, dt)] = out.get((dx - 1, dt), 0) + b * dx * n
+    lden = den * mden
+    return (l_nu, lden), (l_mu, lden), ({key: n for key, n in out.items() if n}, b * lden)
 
 
-def _generator(f: BivariatePolynomial, a: Fraction, l_nu, l_mu) -> BivariatePolynomial:
-    # A_t f from the two L images l_nu = L_nu f and l_mu = L_mu f.
-    return (f.d_dx() - l_mu) * a + l_nu.d_dx()
+def _equal(p: tuple[dict, int], q: tuple[dict, int]) -> bool:
+    # p == q for (ints, den) pairs with no zero numerator, cross-multiplied
+    (pi, pd), (qi, qd) = p, q
+    g = math.gcd(pd, qd)
+    ps, qs = qd // g, pd // g
+    return pi.keys() == qi.keys() and all(n * ps == qi[key] * qs for key, n in pi.items())
 
 
 def generator_apply(f: BivariatePolynomial, alpha) -> BivariatePolynomial:
     """A_t f = alpha (d/dx f - L_mu f) + d/dx (L_nu f)."""
     degree = max(f.x_degree(), 1)
-    nu = nu_moment_polys(degree, alpha)
-    mu = mu_moment_polys(degree, alpha)
-    return _generator(f, Fraction(alpha), l_apply(f, nu), l_apply(f, mu))
+    _check_degree(degree)
+    a = Fraction(alpha)
+    return BivariatePolynomial._from_ints(*_image(f.ints, f.den, a, _measures(a, degree), False)[2])
 
 
 def time_derivative_residual(n: int, alpha) -> BivariatePolynomial:
     """d/dt q_n + A_t q_n; identically zero is the generator identity."""
     _check_degree(n)
-    q = _specialized(_tables()[0][n : n + 1], alpha)[0]
-    return q.d_dt() + generator_apply(q, alpha)
+    a = Fraction(alpha)
+    q, den = _specialized_ints(_tables()[0][n : n + 1], a)[0]
+    return BivariatePolynomial._from_ints(*_image(q, den, a, _measures(a, max(n, 1)), True)[2])
 
 
-def _ladder(n_max: int, a: Fraction):
+def _ladder(n_max: int, alpha):
     # q_0..q_n, their images L_nu q_k and L_mu q_k, and the residuals
-    # d/dt q_k + A_t q_k, from one build of q, nu and mu.
-    q = q_polynomials(n_max, a)
-    nu = nu_moment_polys(max(n_max, 1), a)
-    mu = mu_moment_polys(max(n_max, 1), a)
-    l_nu = [l_apply(qk, nu) for qk in q]
-    l_mu = [l_apply(qk, mu) for qk in q]
-    return q, l_nu, l_mu, [qk.d_dt() + _generator(qk, a, ln, lm) for qk, ln, lm in zip(q, l_nu, l_mu)]
+    # d/dt q_k + A_t q_k, as (ints, den) pairs from one build of q, nu and mu
+    _check_degree(n_max)
+    a = Fraction(alpha)
+    q = _specialized_ints(_tables()[0][: n_max + 1], a)
+    measures = _measures(a, max(n_max, 1))
+    l_nu, l_mu, residuals = map(list, zip(*(_image(ints, den, a, measures, True) for ints, den in q)))
+    return q, l_nu, l_mu, residuals
 
 
 @dataclass(frozen=True)
@@ -208,23 +267,28 @@ def generating_function_check(order: int, alpha) -> GeneratingFunctionReport:
     """
     if not 0 <= order <= SERIES_ORDER_CAP:
         raise ValueError(f"order must be in 0..{SERIES_ORDER_CAP}, got {order}")
+    q, l_nu, l_mu, residuals = _ladder(order, alpha)
     a = Fraction(alpha)
-    t = BivariatePolynomial.t()
-    # denominator 1 + (t alpha - x) z + t z^2, inverted as a z-series
-    c1 = t * a - BivariatePolynomial.x()
-    inverse = [BivariatePolynomial.one()]
+    p = _specialized_ints(_tables()[1][: order + 1], a)
+    num, b = a.numerator, a.denominator
+    # denominator 1 + (t alpha - x) z + t z^2, inverted as a z-series on the
+    # numerators I_k = b^k inverse_k = -((a t - b x) I_(k-1) + b^2 t I_(k-2)).
+    # b^k times H's z^k coefficient, inverse_k + alpha t inverse_(k-1), is
+    # I_k + a t I_(k-1) = b x I_(k-1) - b^2 t I_(k-2), so it is built first.
+    inverse, h_coeffs = [{(0, 0): 1}], [{(0, 0): 1}]
     for k in range(1, order + 1):
-        term = c1 * inverse[k - 1]
-        if k >= 2:
-            term = term + t * inverse[k - 2]
-        inverse.append(-1 * term)
-    h_coeffs = [inverse[0]] + [inverse[k] + t * a * inverse[k - 1] for k in range(1, order + 1)]
+        last, before = inverse[k - 1], inverse[k - 2] if k >= 2 else {}
+        h = {(i + 1, j): b * n for (i, j), n in last.items()}
+        for (i, j), n in before.items():
+            h[(i, j + 1)] = h.get((i, j + 1), 0) - b * b * n
+        term = dict(h)
+        for (i, j), n in last.items():
+            term[(i, j + 1)] = term.get((i, j + 1), 0) - num * n
+        h_coeffs.append({key: n for key, n in h.items() if n})
+        inverse.append({key: n for key, n in term.items() if n})
 
-    q, l_nu, l_mu, residuals = _ladder(order, a)
-    p = p_polynomials(order, a)
-
-    h_ok = all(h_coeffs[k] == q[k] for k in range(order + 1))
-    p_ok = all(inverse[k] == p[k] for k in range(order + 1))
-    nu_ok = all(l_nu[k] == q[k - 1] for k in range(1, order + 1))
-    mu_ok = all(l_mu[k] == p[k - 1] for k in range(1, order + 1))
-    return GeneratingFunctionReport(order, h_ok, p_ok, nu_ok, mu_ok, all(r.is_zero() for r in residuals))
+    h_ok = all(_equal((h_coeffs[k], b**k), q[k]) for k in range(order + 1))
+    p_ok = all(_equal((inverse[k], b**k), p[k]) for k in range(order + 1))
+    nu_ok = all(_equal(l_nu[k], q[k - 1]) for k in range(1, order + 1))
+    mu_ok = all(_equal(l_mu[k], p[k - 1]) for k in range(1, order + 1))
+    return GeneratingFunctionReport(order, h_ok, p_ok, nu_ok, mu_ok, all(not ints for ints, _ in residuals))

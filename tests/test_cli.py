@@ -58,6 +58,30 @@ class TestMoments:
         assert code == 0
         assert out.splitlines()[2] == "2,2/3,7/9"
 
+    def test_digit_bound_refuses_before_any_work(self, capsys, monkeypatch):
+        # 60- and 61-digit --alpha and --T at order 64 would print past 4,300 digits
+        height = "1" * 60 + "/" + "7" * 61
+        for name in ("moments_from_two_state_cumulants", "moments_from_free_cumulants"):
+            monkeypatch.setattr(cli, name, lambda *args: pytest.fail("a transform ran"))
+        start = time.perf_counter()
+        code = main(["moments", "--alpha", height, "--T", height, "--order", "64"])
+        assert time.perf_counter() - start < 0.5
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert captured.err.splitlines() == [
+            "error: --order 64 at this --alpha, --T and --beta can print 7717-digit numbers, "
+            "past the 4300-digit limit of integer output"
+        ]
+
+    def test_digit_bound_counts_beta(self, capsys):
+        # 20-digit --alpha and --T print at order 64; a 300-digit --beta pushes the bound past the limit
+        height = "12345678901234567890/98765432109876543211"
+        code, out = run(capsys, "moments", "--alpha", height, "--T", height, "--order", "64")
+        assert (code, len(out.splitlines())) == (0, 65)
+        code = main(["moments", "--alpha", height, "--T", height, "--beta", "1" * 300, "--order", "64"])
+        assert code == 2
+        assert "--order 64 at this --alpha, --T and --beta" in capsys.readouterr().err
+
 
 class TestJacobi:
     def test_shift_consistency_reported(self, capsys):

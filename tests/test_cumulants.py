@@ -21,6 +21,7 @@ from twostate.cumulants import (
     mixed_moment,
     moments_from_free_cumulants,
     moments_from_two_state_cumulants,
+    table_digits,
     two_state_cumulants_from_moments,
 )
 
@@ -554,3 +555,29 @@ class TestSeriesMatchesPartitionOracle:
         family = IncrementFamilySpec(count, TwoStateElementSpec(*data), F(1))
         word = tuple(x % count + 1 for x in letters)
         assert mixed_moment(family, word, state) == _oracle_mixed_moment(family, word, state)
+
+
+HEIGHTS = st.sampled_from([9, 9999, 10**20])
+
+
+@st.composite
+def signed_rationals(draw, positive=False):
+    height = draw(HEIGHTS)
+    return F(draw(st.integers(1 if positive else -height, height)), draw(st.integers(1, height)))
+
+
+class TestTableDigits:
+    @settings(max_examples=60, deadline=None)
+    @given(alpha=signed_rationals(), t=signed_rationals(positive=True), beta=signed_rationals(), order=st.integers(1, 16))
+    def test_bounds_every_printed_number(self, alpha, t, beta, order):
+        # the tables of `twostate moments`
+        outer, inner = brownian_cumulants(alpha, t, order, beta)
+        table = moments_from_two_state_cumulants(outer, inner, order) + moments_from_free_cumulants(inner, order)
+        digits = max(max(len(str(abs(x.numerator))), len(str(x.denominator))) for x in table)
+        assert digits <= table_digits(alpha, t, order, beta)
+
+    def test_grows_with_every_height(self):
+        base = table_digits(F(1, 2), F(1), 16)
+        assert table_digits(F(1, 2000), F(1), 16) > base
+        assert table_digits(F(1, 2), F(1000, 3), 16) > base
+        assert table_digits(F(1, 2), F(1), 16, F(-1000)) > base

@@ -10,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import twostate
-from twostate import generator
+from twostate import cli, generator
 from twostate.generator import (
     generating_function_check,
     generator_apply,
@@ -362,10 +362,16 @@ class TestGenerator:
 
     @pytest.mark.parametrize("alpha", [F(0), F(1), F(-3, 2), F(9973, 9998)])
     def test_ladder_matches_single_degree_route(self, alpha):
-        residuals = generator._ladder(16, alpha)[-1]
-        assert len(residuals) == 17
+        # the ladder's (ints, den) pairs, read as polynomials, are the public routes' results
+        ladder = generator._ladder(16, alpha)
+        assert [len(column) for column in ladder] == [17] * 4
+        q = q_polynomials(16, alpha)
+        nu, mu = nu_moment_polys(16, alpha), mu_moment_polys(16, alpha)
         for k in range(17):
-            assert residuals[k] == time_derivative_residual(k, alpha), (alpha, k)
+            wanted = [q[k], l_apply(q[k], nu), l_apply(q[k], mu), time_derivative_residual(k, alpha)]
+            for (ints, den), want in zip((column[k] for column in ladder), wanted):
+                assert all(ints.values()), (alpha, k)
+                assert BivariatePolynomial._from_ints(ints, den) == want, (alpha, k)
 
     @pytest.mark.parametrize("n_max", [-1, 17])
     def test_ladder_degree_cap(self, n_max):
@@ -465,6 +471,15 @@ class TestTables:
         for got, want in families:
             assert [(_canonical(g).ints, g.den) for g in got] == [(w.ints, w.den) for w in want]
 
+    def test_tables_are_homogeneous(self):
+        # i + 2j - k is the degree of every term, so each (i, j) carries one power of alpha
+        q, p, nu, mu = generator._tables()
+        for family, first in ((q, 0), (p, 0), (nu, 1), (mu, 1)):
+            for degree, (top, terms) in enumerate(family, start=first):
+                assert all(i + 2 * j - k == degree and c for (i, j), k, c in terms)
+                assert len({key for key, _, _ in terms}) == len(terms)
+                assert top == max((k for _, k, _ in terms), default=0)
+
     def test_moments_at_unit_drift_and_time_are_motzkin_and_riordan(self):
         # at alpha = t = 1 nu counts Motzkin paths; mu, with no level step at
         # height 0, counts Riordan paths
@@ -514,3 +529,152 @@ class TestTables:
         code = "import twostate.cli; from twostate import generator; print(generator._tables.cache_info().misses)"
         out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
         assert (out.returncode, out.stdout) == (0, "0\n")
+
+
+# The polynomial formulation of the generator route, kept as its oracle: the L
+# operator over the lcm of the moments' denominators, one monomial at a time,
+# and A_t f from the two L images by BivariatePolynomial arithmetic.
+def _oracle_l_apply(f, measure_moments):
+    used = measure_moments[: max(f.x_degree() - 1, 0)]
+    den = math.lcm(*(m.den for m in used))
+    scaled = [{(0, 0): den}] + [{k: n * (den // m.den) for k, n in m.ints.items()} for m in used]
+    out = {}
+    # (f(x) - f(y)) / (x - y) per monomial: x^k -> sum_{i+j=k-1} x^i y^j, then y^j -> moment j
+    for (dx, dt), c in f.ints.items():
+        for i in range(dx):
+            for (mx, mt), m in scaled[dx - 1 - i].items():
+                key = (i + mx, dt + mt)
+                out[key] = out.get(key, 0) + c * m
+    return BivariatePolynomial._from_ints(out, f.den * den)
+
+
+def _oracle_generator(f, alpha, l_nu, l_mu):
+    # A_t f from the two L images l_nu = L_nu f and l_mu = L_mu f
+    return (f.d_dx() - l_mu) * F(alpha) + l_nu.d_dx()
+
+
+ALPHAS_ANY = st.one_of(SMALL, BIG, st.integers(-5, 5).map(F))
+GENERATOR_INPUTS = st.dictionaries(st.tuples(st.integers(0, 10), st.integers(0, 6)), COEFS, max_size=12)
+
+
+class TestPolynomialOracle:
+    """The integer route against the polynomial formulation of L, A_t and the residual."""
+
+    @settings(max_examples=80, deadline=None)
+    @example(f={(10, 6): F(1, 3), (1, 0): F(-2), (0, 4): F(5)}, alpha=F(0), n=16)
+    @example(f={(10, 0): F(1), (9, 1): BIG_ALPHA, (2, 6): F(-1, 7)}, alpha=F(-3, 7), n=0)
+    @example(f=BIG_EXAMPLE, alpha=-BIG_ALPHA, n=1)
+    @example(f={}, alpha=F(5), n=12)
+    @given(f=GENERATOR_INPUTS, alpha=ALPHAS_ANY, n=st.integers(0, 16))
+    def test_route_matches_polynomial_oracle(self, f, alpha, n):
+        p = BivariatePolynomial(f)
+        degree = max(p.x_degree(), 1)
+        nu, mu = nu_moment_polys(degree, alpha), mu_moment_polys(degree, alpha)
+        l_nu, l_mu = _oracle_l_apply(p, nu), _oracle_l_apply(p, mu)
+        assert _canonical(l_apply(p, nu)) == l_nu
+        assert _canonical(l_apply(p, mu)) == l_mu
+        assert _canonical(generator_apply(p, alpha)) == _oracle_generator(p, alpha, l_nu, l_mu)
+        # the residual pass on a polynomial that does not satisfy the identity
+        a = F(alpha)
+        ints, den = generator._image(p.ints, p.den, a, generator._measures(a, degree), True)[2]
+        assert all(ints.values())
+        assert BivariatePolynomial._from_ints(ints, den) == p.d_dt() + _oracle_generator(p, alpha, l_nu, l_mu)
+        q = q_polynomials(n, alpha)[n]
+        nu, mu = nu_moment_polys(max(n, 1), alpha), mu_moment_polys(max(n, 1), alpha)
+        want = q.d_dt() + _oracle_generator(q, alpha, _oracle_l_apply(q, nu), _oracle_l_apply(q, mu))
+        assert _canonical(time_derivative_residual(n, alpha)) == want
+
+    @settings(max_examples=40, deadline=None)
+    @example(alpha=F(0), order=12)
+    @example(alpha=F(-3, 7), order=12)
+    @example(alpha=BIG_ALPHA, order=12)
+    @given(alpha=ALPHAS_ANY, order=st.integers(0, 12))
+    def test_h_series_matches_polynomial_expansion(self, alpha, order):
+        # H's denominator inverted with BivariatePolynomial arithmetic: its z-coefficients are q and p
+        a = F(alpha)
+        c1 = T * a - X
+        inverse = [ONE]
+        for k in range(1, order + 1):
+            term = c1 * inverse[k - 1]
+            if k >= 2:
+                term = term + T * inverse[k - 2]
+            inverse.append(-1 * term)
+        h_coeffs = [inverse[0]] + [inverse[k] + T * a * inverse[k - 1] for k in range(1, order + 1)]
+        assert h_coeffs == q_polynomials(order, a)
+        assert inverse == p_polynomials(order, a)
+        assert generating_function_check(order, a).ok
+
+
+def _corrupted(family: int, degree: int) -> tuple:
+    # the alpha-free tables with one alpha-free coefficient of one polynomial raised by one
+    tables = [list(table) for table in generator._tables()]
+    top, terms = tables[family][degree]
+    at = next(n for n, (_, k, _) in enumerate(terms) if k == 0)
+    key, k, c = terms[at]
+    tables[family][degree] = (top, terms[:at] + ((key, k, c + 1),) + terms[at + 1 :])
+    return tuple(tuple(table) for table in tables)
+
+
+# (family, degree index, report fields that compare against the family, feeds the residual):
+# q_12, p_11, and the second moments of nu and mu
+CORRUPTIONS = [
+    (0, 12, {"h_coefficients_are_q", "nu_ladder", "mu_ladder", "time_derivative_identity"}, True),
+    (1, 11, {"inverse_coefficients_are_p", "mu_ladder"}, False),
+    (2, 1, {"nu_ladder", "time_derivative_identity"}, True),
+    (3, 1, {"mu_ladder", "time_derivative_identity"}, True),
+]
+REPORT_FIELDS = {"h_coefficients_are_q", "inverse_coefficients_are_p", "nu_ladder", "mu_ladder", "time_derivative_identity"}
+
+
+class TestCorruptedTables:
+    """One wrong table coefficient must show in every check that reads that table."""
+
+    @pytest.mark.parametrize("alpha", [F(1, 2), F(-9973, 9998)])
+    @pytest.mark.parametrize("family,degree,fields,feeds_residual", CORRUPTIONS)
+    def test_report_residual_and_cli_fail(self, monkeypatch, capsys, alpha, family, degree, fields, feeds_residual):
+        corrupted = _corrupted(family, degree)
+        monkeypatch.setattr(generator, "_tables", lambda: corrupted)
+        report = generating_function_check(12, alpha)
+        assert not report.ok
+        assert {name for name in REPORT_FIELDS if not getattr(report, name)} == fields
+        assert time_derivative_residual(12, alpha).is_zero() is not feeds_residual
+        code = cli.main(["generator-check", f"--alpha={alpha}", "--n-max", "12"])
+        capsys.readouterr()
+        assert code == (1 if feeds_residual else 0)
+
+
+class TestBuildCount:
+    """Polynomials the generator route builds: one per returned result, none per operation."""
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        count = [0]
+        from_ints, init = BivariatePolynomial._from_ints, BivariatePolynomial.__init__
+
+        def counted_from_ints(ints, den):
+            count[0] += 1
+            return from_ints(ints, den)
+
+        def counted_init(self, *args):
+            count[0] += 1
+            init(self, *args)
+
+        monkeypatch.setattr(BivariatePolynomial, "_from_ints", staticmethod(counted_from_ints))
+        monkeypatch.setattr(BivariatePolynomial, "__init__", counted_init)
+        return count
+
+    @pytest.mark.parametrize("alpha", [F(0), F(9973, 9998), F(-3, 7), BIG_ALPHA])
+    def test_generating_function_check_builds_none(self, builds, alpha):
+        assert generating_function_check(12, alpha).ok
+        assert builds[0] == 0
+
+    @pytest.mark.parametrize("alpha", [F(0), F(9973, 9998), F(-3, 7), BIG_ALPHA])
+    def test_residual_builds_one(self, builds, alpha):
+        assert time_derivative_residual(16, alpha).is_zero()
+        assert builds[0] == 1
+
+    def test_generator_apply_builds_one(self, builds):
+        f = BivariatePolynomial({(16, 0): F(1), (3, 2): F(-2, 3)})
+        builds[0] = 0
+        generator_apply(f, F(9973, 9998))
+        assert builds[0] == 1
