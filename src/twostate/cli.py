@@ -204,10 +204,15 @@ def cmd_martingale_check(args) -> int:
 
 def cmd_variation_table(args) -> int:
     k = 2 if args.k is None else args.k
+    centered = args.centered_power is not None
+    power, flag = (args.centered_power, "--n") if centered else (k, "--k")
+    for big_n in args.N_list:
+        _check_digits(variations.table_digits(args.alpha, args.T, big_n, power, centered, args.beta),
+                      f"{flag} {power} at N = {big_n} of --N-list and this --alpha, --T and --beta")
     lines = ["N,value,value_f64,predicted,gap"]
     for big_n in args.N_list:
         family = brownian_family(args.alpha, args.T, big_n, order=max(8, 2 * k), beta=args.beta)
-        if args.centered_power is None:
+        if not centered:
             report = variations.variation_second_moment(family, k)
             value, predicted = report.value, report.predicted_limit
         else:
@@ -252,6 +257,12 @@ def cmd_kernel_residual(args) -> int:
     return 0
 
 
+def _expect(holds: bool) -> None:
+    # a selfcheck identity, raised explicitly: python -O strips assert statements
+    if not holds:
+        raise AssertionError
+
+
 def _selfcheck_items(alpha: Fraction, t: Fraction, big_n: int, order: int):
     outer, inner = brownian_cumulants(alpha, t, order)
     phi_m = moments_from_two_state_cumulants(outer, inner, order)
@@ -261,24 +272,24 @@ def _selfcheck_items(alpha: Fraction, t: Fraction, big_n: int, order: int):
         bells = [1, 2, 5, 15, 52]
         catalans = [1, 2, 5, 14, 42]
         for n, (b, c) in enumerate(zip(bells, catalans), start=1):
-            assert len(enumerate_set_partitions(n)) == b
-            assert len(enumerate_nc(n)) == c
+            _expect(len(enumerate_set_partitions(n)) == b)
+            _expect(len(enumerate_nc(n)) == c)
 
     def transform_roundtrips():
         # the series against the first-block recursion on one increment that
         # carries the whole-interval cumulants, then back by the inverses
         family = brownian_family(alpha, t, 1, order=order)
-        assert phi_m == tuple(mixed_moment(family, (1,) * j, "phi") for j in range(1, order + 1))
-        assert psi_m == tuple(mixed_moment(family, (1,) * j, "psi") for j in range(1, order + 1))
-        assert free_cumulants_from_moments(psi_m) == inner
-        assert two_state_cumulants_from_moments(phi_m, inner) == outer
+        _expect(phi_m == tuple(mixed_moment(family, (1,) * j, "phi") for j in range(1, order + 1)))
+        _expect(psi_m == tuple(mixed_moment(family, (1,) * j, "psi") for j in range(1, order + 1)))
+        _expect(free_cumulants_from_moments(psi_m) == inner)
+        _expect(two_state_cumulants_from_moments(phi_m, inner) == outer)
 
     def cross_representation():
         grid = fock.IntervalGrid(t, big_n)
-        assert fock.phi_moment_table(grid, alpha, order) == phi_m
-        assert fock.psi_moment_table(grid, alpha, order) == psi_m
+        _expect(fock.phi_moment_table(grid, alpha, order) == phi_m)
+        _expect(fock.psi_moment_table(grid, alpha, order) == psi_m)
         jac = spectral.moments_to_jacobi(phi_m)
-        assert spectral.jacobi_to_moments(jac, len(phi_m)) == phi_m
+        _expect(spectral.jacobi_to_moments(jac, len(phi_m)) == phi_m)
 
     def mixed_vs_fock():
         grid = fock.IntervalGrid(t, big_n)
@@ -290,49 +301,49 @@ def _selfcheck_items(alpha: Fraction, t: Fraction, big_n: int, order: int):
             expr = fock.OperatorExpr.identity(grid)
             for i in word:
                 expr = expr * fock.OperatorExpr.increment(grid, i)
-            assert mixed_moment(family, word, "phi") == fock.state_phi(expr, alpha)
-            assert mixed_moment(family, word, "psi") == fock.state_psi_t(expr, alpha)
+            _expect(mixed_moment(family, word, "phi") == fock.state_phi(expr, alpha))
+            _expect(mixed_moment(family, word, "psi") == fock.state_psi_t(expr, alpha))
 
     def jacobi_shift_routes():
         shifted = spectral.jacobi_shift(spectral.moments_to_jacobi(psi_m), t)
         depth = order - 1
-        assert spectral.jacobi_to_moments(shifted, depth) == spectral.shift_moments_by_series(psi_m, t, depth)
+        _expect(spectral.jacobi_to_moments(shifted, depth) == spectral.shift_moments_by_series(psi_m, t, depth))
 
     def lemma_op_c():
         for n in range(1, order):  # nu and mu are the psi and phi laws
-            assert psi_m[n - 1] == phi_m[n - 1] + alpha * phi_m[n]
+            _expect(psi_m[n - 1] == phi_m[n - 1] + alpha * phi_m[n])
 
     def quadrature_normalization():
         for make in (spectral.semicircle_law, spectral.free_poisson_law):
             measure = make(alpha, t)
-            assert abs(spectral.quadrature_moment(measure, 0) - 1.0) < 1e-8
+            _expect(abs(spectral.quadrature_moment(measure, 0) - 1.0) < 1e-8)
 
     def qv_methods_agree():
         family = brownian_family(alpha, t, big_n, order=max(order, 6))
         for n in (1, 2, 3):
-            assert variations.centered_qv_moment(family, n, "bruteforce") == variations.centered_qv_moment(
+            _expect(variations.centered_qv_moment(family, n, "bruteforce") == variations.centered_qv_moment(
                 family, n, "lemma_sum"
-            )
+            ))
 
     def freeness_sample():
         grid = fock.IntervalGrid(t, max(big_n, 2))
         factors = [_centered_monomial(grid, alpha, 1, 1), _centered_monomial(grid, alpha, 2, 1)]
-        assert fock.freeness_check(grid, alpha, factors).ok
+        _expect(fock.freeness_check(grid, alpha, factors).ok)
 
     def martingale_sample():
         grid = fock.IntervalGrid(t, max(big_n, 2))
         past = fock.OperatorExpr.interval(grid, 1, 1) ** 2
         lhs, rhs = fock.martingale_check(grid, alpha, 2, 1, grid.cells, past)
-        assert lhs == rhs
+        _expect(lhs == rhs)
 
     def generator_residuals():
-        assert not any(residual for residual, _ in generator._ladder(min(order, 8), alpha)[-1])
+        _expect(not any(residual for residual, _ in generator._ladder(min(order, 8), alpha)[-1]))
 
     def product_lemma_sample():
         grid = fock.IntervalGrid(t, max(big_n, 2))
         groups = [((1, 1), 1), ((2, grid.cells), 1)]
         got = fock.product_lemma_vector(grid, alpha, groups)
-        assert got == fock.elementary_tensor(grid, groups)
+        _expect(got == fock.elementary_tensor(grid, groups))
 
     return [
         ("partition-counts", partitions_counts),

@@ -10,7 +10,8 @@ partition only through five statistics (its join size with the adjacent
 pairing, its block, singleton, inner free pair and inner adjacent pair
 counts), so a memoized transfer over positions 1..2n counts how many kept
 partitions share each statistic; the sum then runs over those few shapes
-(76 at n = 6, 210 at n = 8, 2,676 at n = 16).
+(76 at n = 6, 210 at n = 8, 2,676 at n = 16), each weighted in integers over
+one common denominator, and is reduced to a Fraction once.
 
 One correction relative to the usual statement of the partition sum: an inner
 pair of sigma that is not one of the adjacent pairs always carries the full
@@ -26,7 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .cumulants import IncrementFamilySpec, mixed_moment, moments_from_free_cumulants
+from .cumulants import TRANSFORM_ORDER_CAP, IncrementFamilySpec, mixed_moment, moments_from_free_cumulants
 from .fock import FockVector, IntervalGrid, OperatorExpr, state_psi_t
 from .partitions import enumerate_set_partitions
 
@@ -179,14 +180,27 @@ def _qv_lemma_sum(family: IncrementFamilySpec, n: int) -> Fraction:
     #   W(join(sigma, tau)) step^|sigma| alpha^singletons
     #   beta^(inner free pairs) (beta - 1)^(inner tau pairs),
     # grouped by shape key, where W(p) = sum over pi >= p of N_(|pi|) is the
-    # coarser weight; for an m-block p it is N^m.
+    # coarser weight; for an m-block p it is N^m. With step = p/q, alpha = a/b
+    # and beta = c/d, blocks and singletons are at most 2n and inner pairs at
+    # most n, so every shape's term is an int over q^2n b^2n d^n, reduced once.
     alpha, beta = _brownian_shape(family)
     big_n = family.count
     step = family.total_time / big_n
-    total = Fraction(0)
-    for (joined, blocks, singles, free, tau), count in _lemma_shapes(n):
-        total += count * big_n**joined * step**blocks * alpha**singles * beta**free * (beta - 1) ** tau
-    return total
+
+    def powers(top: int, num: int, den: int = 1) -> list[int]:
+        # num^i den^(top - i) for i = 0..top
+        return [num**i * den ** (top - i) for i in range(top + 1)]
+
+    joins = powers(n, big_n)
+    steps = powers(2 * n, step.numerator, step.denominator)
+    alphas = powers(2 * n, alpha.numerator, alpha.denominator)
+    c, d = beta.numerator, beta.denominator
+    betas, shifted, pads = powers(n, c), powers(n, c - d), powers(n, d)
+    total = sum(
+        count * joins[joined] * steps[blocks] * alphas[singles] * betas[free] * shifted[tau] * pads[n - free - tau]
+        for (joined, blocks, singles, free, tau), count in _lemma_shapes(n)
+    )
+    return Fraction(total, step.denominator ** (2 * n) * alpha.denominator ** (2 * n) * d**n)
 
 
 def centered_qv_moment(family: IncrementFamilySpec, n: int, method: str = "bruteforce") -> Fraction:
@@ -197,8 +211,9 @@ def centered_qv_moment(family: IncrementFamilySpec, n: int, method: str = "brute
     {1..2n} with no outer singleton and no outer adjacent pair, which a
     memoized left-to-right transfer counts by shape (join size with the
     adjacent pairing, blocks, singletons, inner free and inner adjacent pairs)
-    without building them; each shape is weighted once (n <= 16,
-    Brownian-shaped families only). Both methods need n >= 1.
+    without building them; each shape is weighted once, in integers, and the
+    sum is reduced once (n <= 16, Brownian-shaped families only). Both
+    methods need n >= 1.
     """
     if method == "bruteforce":
         if 2 * n > BRUTEFORCE_WORD_CAP:
@@ -210,6 +225,48 @@ def centered_qv_moment(family: IncrementFamilySpec, n: int, method: str = "brute
     if method == "lemma_sum":
         return centered_power_moment(family, 2, n)
     raise ValueError("method must be 'bruteforce' or 'lemma_sum'")
+
+
+def table_digits(alpha, total_time, count: int, power: int, centered: bool, beta=1) -> int:
+    """Most decimal digits of a numerator or denominator in a variation-table
+    row at N = count: value, limit and gap of phi[(sum_i X_i^k)^2] at k = power,
+    or of phi[(sum_i X_i^2 - T)^n] at n = power when centered.
+
+    With m = power, both values sum over non-crossing partitions of 2m points
+    into singletons and pairs whose first block is an outer pair, fewer than
+    3^(2m) of them. One with 2j singletons, j < m, has m + j blocks and m - j
+    pairs, one of them outer, so it contributes
+    N^e (T/N)^(m + j) alpha^(2j) times at most m - j - 1 factors beta or
+    beta - 1. The k column has N^e = N or N(N - 1) and adds the limit T or
+    T^2; the centered sum has e the join size, between j and m. Write
+    alpha = a/b, T = c/d and beta = u/f. A term is then at most
+    N^(e - m - j) |T|^(m + j) |alpha|^(2j) B^(m - j - 1),
+    B = max(1, |beta|, |beta - 1|), and its denominator divides
+    D = d^(2m - 1) N^x (b^2 f/g)^(m - 1), g = gcd(b, f), with x = 2m - 2 for
+    the k column and m when centered. So a printed denominator is at most D and
+    a numerator at most D times the sum of the terms, whose logarithm is
+    linear in j: largest at j = 0 or j = m - 1. Inputs no table accepts
+    (N < 1, T <= 0, power < 1, 2k past TRANSFORM_ORDER_CAP, n past
+    LEMMA_POWER_CAP) get 0, for the family and power checks to refuse with
+    their own messages.
+    """
+    a, t, u = Fraction(alpha), Fraction(total_time), Fraction(beta)
+    m = power
+    if count < 1 or t <= 0 or m < 1 or m > (LEMMA_POWER_CAP if centered else TRANSFORM_ORDER_CAP // 2):
+        return 0
+
+    def log_abs(x: Fraction) -> float:
+        return math.log10(abs(x.numerator)) - math.log10(x.denominator) if x else -math.inf
+
+    log_n, log_t, log_b = math.log10(count), log_abs(t), max(0.0, log_abs(u), log_abs(u - 1))
+    ends = [m * log_t + (m - 1) * log_b]  # j = 0
+    if m > 1 and a:  # j = m - 1
+        ends.append((2 * m - 1) * log_t + (2 * m - 2) * log_abs(a) - (m - 1) * log_n)
+    log_terms = math.log10(2) + 2 * m * math.log10(3) + ((0 if centered else 2 - m) * log_n) + max(ends)
+    b, f = a.denominator, u.denominator
+    log_den = (2 * m - 1) * math.log10(t.denominator) + (m if centered else 2 * m - 2) * log_n
+    log_den += (m - 1) * math.log10(b * b * (f // math.gcd(b, f)))
+    return 1 + math.floor(log_den + max(0.0, log_terms) + 1e-9)  # slack for the rounding of the logarithms
 
 
 def sandwich_variation(grid: IntervalGrid, alpha, sandwiched: OperatorExpr, window_start_cell: int) -> VariationReport:

@@ -258,6 +258,21 @@ class TestChecks:
             "martingale-sample", "generator-residuals", "product-lemma-sample",
         ]
 
+    def test_selfcheck_fails_under_python_O(self):
+        # python -O strips assert statements: a wrong lemma sum must still read FAIL
+        script = (
+            "import sys\n"
+            "from twostate import cli, variations\n"
+            "if not sys.flags.optimize: sys.exit(3)\n"
+            "real = variations._qv_lemma_sum\n"
+            "variations._qv_lemma_sum = lambda family, n: real(family, n) + 1\n"
+            "sys.exit(cli.main(['selfcheck', '--alpha', '1/2', '--T', '1', '--N', '4']))\n"
+        )
+        result = run_fresh("-O", "-c", script)
+        assert result.returncode == 1, result.stderr
+        report = result.stdout.splitlines()
+        assert [row for row in report if not row.startswith("ok ")] == ["FAIL qv-methods-agree", "passed 11/12"]
+
     def test_selfcheck_failure_outranks_an_item_that_raises(self, capsys, monkeypatch):
         def fails():
             assert False
@@ -295,6 +310,39 @@ class TestVariationTable:
         assert code == 0
         rows = out.strip().splitlines()[1:]
         assert rows[0].split(",")[1] == "5/4"
+
+    # 60-digit flags: the first two reduce with denominators coprime to the third's
+    ALPHA = "508407740755353032575834893130694935563376699389215517290997/712968983734748722586037329171604799241722823978990959586185"
+    T = "2086513487273733063022548872164169459625685221759575555746163/8469975373839321648721423453577971413280563096646894812792824"
+    BETA = "314159265358979323846264338327950288419716939937510582097494/271828182845904523536028747135266249775724709369995957496697"
+
+    @pytest.mark.parametrize("beta,power,counts,digits", [
+        ("1", ["--k", "32"], "8", 7606), (BETA, ["--n", "16"], "8", 4598), ("1", ["--k", "18"], "8,100000", 4338),
+    ], ids=["k32", "n16_beta", "k18_second_count"])
+    def test_digit_bound_refuses_before_any_work(self, capsys, monkeypatch, beta, power, counts, digits):
+        # each refused row would print past 4,300 digits: before the bound, the
+        # k = 32 row worked 2.7 s before Python refused to print it
+        monkeypatch.setattr(cli, "brownian_family", lambda *args, **kwargs: pytest.fail("a family was built"))
+        start = time.perf_counter()
+        code = main(["variation-table", "--alpha", self.ALPHA, "--beta", beta, "--T", self.T, *power, "--N-list", counts])
+        assert time.perf_counter() - start < 0.5
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert captured.err.splitlines() == [
+            f"error: {' '.join(power)} at N = {counts.split(',')[-1]} of --N-list and this --alpha, --T and --beta "
+            f"can print {digits}-digit numbers, past the 4300-digit limit of integer output"
+        ]
+
+    @pytest.mark.parametrize("beta,power,digits", [
+        ("1", ["--k", "18"], 4199), (ALPHA, ["--n", "16"], 3705), (BETA, ["--n", "15"], 4289),
+    ], ids=["k18", "n16_beta_alpha", "n15_beta"])
+    def test_rows_under_the_limit_still_print(self, capsys, beta, power, digits):
+        code, out = run(capsys, "variation-table", "--alpha", self.ALPHA, "--beta", beta, "--T", self.T, *power,
+                        "--N-list", "8")
+        assert code == 0
+        _, value, _, predicted, gap = out.splitlines()[1].split(",")
+        numbers = [n for x in (value, predicted, gap) for n in x.lstrip("-").split("/")]
+        assert max(map(len, numbers)) <= digits
 
     def test_norm_table(self, capsys):
         code, out = run(
@@ -405,6 +453,11 @@ class TestPlumbing:
             # --k 33 needs 66-letter words: the family's order passes the transform order cap
             (["variation-table", "--alpha", "1/2", "--T", "1", "--k", "33", "--N-list", "1,4,8"],
              f"error: order 66 exceeds the transform order cap {TRANSFORM_ORDER_CAP}"),
+            # far past the caps the rows would also pass the digit limit: the cap is reported
+            (["variation-table", "--alpha", "1/2", "--T", "1", "--k", "5000", "--N-list", "2"],
+             f"error: order 10000 exceeds the transform order cap {TRANSFORM_ORDER_CAP}"),
+            (["variation-table", "--alpha", "1/2", "--T", "1", "--n", "5000", "--N-list", "2"],
+             "error: lemma_sum supports n <= 16"),
         ],
     )
     def test_count_caps_name_the_flag(self, capsys, argv, message):

@@ -25,6 +25,7 @@ from twostate.variations import (
     norm_2n_table,
     psi_variation,
     sandwich_variation,
+    table_digits,
     variation_second_moment,
 )
 
@@ -37,6 +38,17 @@ def fock_power_moment(alpha, t, count, k, power, center):
         acc = acc + OperatorExpr.increment(grid, i) ** k
     total = acc**power
     return total.apply(FockVector.vacuum(grid), alpha).vacuum_coefficient()
+
+
+def reference_lemma_sum(family, n):
+    """The lemma sum shape by shape in Fractions: the reference for the integer pass."""
+    alpha, beta = variations._brownian_shape(family)
+    big_n = family.count
+    step = family.total_time / big_n
+    total = F(0)
+    for (joined, blocks, singles, free, tau), count in _lemma_shapes(n):
+        total += count * big_n**joined * step**blocks * alpha**singles * beta**free * (beta - 1) ** tau
+    return total
 
 
 class TestSecondMoment:
@@ -449,3 +461,101 @@ class TestQuadraticPowerRoute:
     def test_non_positive_power_refused_at_every_k(self, call):
         with pytest.raises(ValueError, match="^n must be positive$"):
             call(brownian_family(F(1), F(1), 2))
+
+
+@st.composite
+def signed_rationals(draw, heights=(9, 99, 9999), positive=False):
+    height = draw(st.sampled_from(heights))
+    return F(draw(st.integers(1 if positive else -height, height)), draw(st.integers(1, height)))
+
+
+class TestIntegerLemmaSum:
+    """The lemma sum on integer numerators against the shape-by-shape Fraction sum."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        alpha=st.one_of(st.just(F(0)), signed_rationals()),
+        beta=st.one_of(st.sampled_from([F(0), F(1)]), signed_rationals()),
+        t=signed_rationals(positive=True),
+        count=st.integers(1, 8),
+        n=st.integers(1, 16),
+    )
+    def test_matches_reference(self, alpha, beta, t, count, n):
+        family = brownian_family(alpha, t, count, beta=beta)
+        assert centered_qv_moment(family, n, "lemma_sum") == reference_lemma_sum(family, n)
+
+    def test_first_power_has_no_shapes(self):
+        assert _lemma_shapes(1) == ()
+        assert centered_qv_moment(brownian_family(F(-9973, 9998), F(7, 3), 5, beta=F(3, 7)), 1, "lemma_sum") == 0
+
+    def test_twenty_digit_flags_at_the_cap(self):
+        alpha = F(-12345678901234567890, 98765432109876543211)
+        beta = F(31415926535897932384, 27182818284590452353)
+        t = F(16180339887498948482, 14142135623730950488)
+        family = brownian_family(alpha, t, 7, beta=beta)
+        assert centered_qv_moment(family, LEMMA_POWER_CAP, "lemma_sum") == reference_lemma_sum(family, LEMMA_POWER_CAP)
+
+    def test_one_fraction_per_call(self, monkeypatch):
+        # Fractions built in a call do not grow with the shape count: 2 shapes
+        # at n = 2, 2,676 at n = 16
+        family = brownian_family(F(9973, 9998), F(7, 3), 4, beta=F(-3, 7))
+        built, new = [0], F.__new__
+
+        def counted(cls, *args, **kwargs):
+            built[0] += 1
+            return new(cls, *args, **kwargs)
+
+        monkeypatch.setattr(F, "__new__", staticmethod(counted))
+        counts = []
+        for n in (2, 8, 16):
+            built[0] = 0
+            variations._qv_lemma_sum(family, n)
+            counts.append(built[0])
+        monkeypatch.undo()
+        assert len(_lemma_shapes(2)) == 2 and len(_lemma_shapes(16)) == 2676
+        assert counts[0] == counts[1] == counts[2]
+
+
+def row_digits(alpha, beta, t, count, power, centered):
+    """Most digits of a numerator or denominator in a `variation-table` row:
+    value, predicted limit and gap."""
+    if centered:
+        value = centered_qv_moment(brownian_family(alpha, t, count, beta=beta), power, "lemma_sum")
+        row = (value, F(0), value)
+    else:
+        report = variation_second_moment(brownian_family(alpha, t, count, order=max(8, 2 * power), beta=beta), power)
+        row = (report.value, report.predicted_limit, report.gap)
+    return max(max(len(str(abs(x.numerator))), len(str(x.denominator))) for x in row)
+
+
+class TestTableDigits:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        alpha=st.one_of(st.just(F(0)), signed_rationals(heights=(9, 9999, 10**20))),
+        beta=st.one_of(st.sampled_from([F(0), F(1)]), signed_rationals(heights=(9, 9999, 10**20))),
+        t=signed_rationals(heights=(9, 9999, 10**20), positive=True),
+        count=st.integers(1, 8),
+        power=st.integers(1, 4),
+        centered=st.booleans(),
+    )
+    def test_bounds_every_printed_number(self, alpha, beta, t, count, power, centered):
+        power *= 3 if centered else 1  # the lemma sum reaches n = 12 at the cost of a k = 4 column
+        assert row_digits(alpha, beta, t, count, power, centered) <= table_digits(alpha, t, count, power, centered, beta)
+
+    @pytest.mark.parametrize("alpha,beta,t,count", [
+        (F(1), F(1), F(1), 10**6), (F(1), F(10**20), F(1), 1), (F(1), F(1 - 10**20), F(1), 1),
+        (F(10**20), F(1), F(1), 1), (F(1), F(1), F(10**20), 1), (F(0), F(1), F(10**20 + 1), 1),
+        (F(1, 10**20 + 1), F(1, 10**20 + 3), F(1, 10**20 + 7), 3),
+    ], ids=["count", "beta", "beta_minus_1", "alpha", "T", "T_without_alpha", "denominators"])
+    @pytest.mark.parametrize("power,centered", [(3, False), (4, False), (3, True), (4, True)])
+    def test_one_large_input_alone(self, alpha, beta, t, count, power, centered):
+        # where one input sets the size, each factor of the bound must carry its part
+        assert row_digits(alpha, beta, t, count, power, centered) <= table_digits(alpha, t, count, power, centered, beta)
+
+    @pytest.mark.parametrize("count,t,power,centered", [
+        (0, F(1), 2, False), (2, F(0), 2, False), (2, F(-1), 2, False), (2, F(1), 0, False), (2, F(1), 0, True),
+        (2, F(1), 33, False), (2, F(1), LEMMA_POWER_CAP + 1, True),
+    ])
+    def test_inputs_no_table_accepts_are_left_to_their_checks(self, count, t, power, centered):
+        # past the caps too: the order and lemma caps keep their own messages
+        assert table_digits(F(10**80, 3), t, count, power, centered) == 0
