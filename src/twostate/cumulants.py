@@ -33,9 +33,10 @@ def as_rationals(values) -> Rationals:
 # takes, checked before any work: the power table of M_psi holds about
 # order^2 / 2 coefficients. brownian_cumulants checks it too, so no consumer
 # is handed a longer vector. At the cap (2-CPU VM), on cumulants with
-# denominators up to 99, the forward transforms take 0.2-0.4 s, the inverses
-# on their moments (955- to 1,544-bit denominators) 11-24 s, and mixed_moment
-# on a one-letter word 1.5-1.9 s (13 ms on Brownian cumulants).
+# denominators up to 99, the forward transforms take 0.06-0.3 s, the inverses
+# on their moments (700- to 1,500-bit denominators, graded by a 70- to 115-bit
+# scale) 0.07-0.15 s, and mixed_moment on a one-letter word 1.6-2.2 s (15-23 ms
+# on Brownian cumulants).
 TRANSFORM_ORDER_CAP = 64
 
 
@@ -45,15 +46,25 @@ def _check_order(n: int) -> None:
 
 
 def _graded(n: int, seqs) -> tuple[int, list[list[int]]]:
-    # Check length n and the cap, then lift x_k to scale^k x_k, scale a common
-    # denominator, as int lists order 0 first. The sums are homogeneous in
-    # this grading (a partition of {1..k} carries scale^k), so they run on ints.
+    # Check length n and the cap, then lift x_k to scale^k x_k as int lists,
+    # order 0 first. The sums are homogeneous in this grading (a partition of
+    # {1..k} carries scale^k), so they run on ints. The scale is built order
+    # by order: with q the lcm of the order-k denominators, it takes on
+    # q / gcd(q, scale^k), the part of q that scale^k misses. Then q divides
+    # scale^k, and later steps only multiply the scale. A prime p with
+    # v_p(scale) = s before step k leaves it with
+    # s + max(0, v_p(q) - k s) <= max(s, v_p(q)), so the scale divides the lcm
+    # of all the denominators. Moment denominators grow like a power of the
+    # order, so on moments the scale can be n times shorter than that lcm.
     shortest = min(map(len, seqs))
     if shortest < n:
         raise ValueError(f"need {n} terms per sequence, got {shortest}")
     _check_order(n)
     seqs = [seq[:max(n, 0)] for seq in seqs]
-    scale = math.lcm(*(c.denominator for seq in seqs for c in seq))
+    scale = 1
+    for k, terms in enumerate(zip(*seqs), start=1):
+        q = math.lcm(*(c.denominator for c in terms))
+        scale *= q // math.gcd(q, scale**k)
     return scale, [[0] + [c.numerator * (scale**k // c.denominator) for k, c in enumerate(seq, 1)] for seq in seqs]
 
 

@@ -327,22 +327,6 @@ def state_psi_t(expr: OperatorExpr, alpha) -> Fraction:
     return expr.apply(seeded, alpha).vacuum_coefficient()
 
 
-def table_digits(alpha, total_time, degree: int) -> int:
-    """Most decimal digits of a numerator or denominator in the phi and psi tables.
-
-    phi_n sums at most 3^n Motzkin paths, each alpha^j T^m with j <= n - 2 and
-    m <= n, so psi_n = phi_n + alpha phi_(n+1) sums at most 2 * 3^(n+1) terms
-    with j <= n and m <= n + 1. Over the common denominator b^n d^(n+1), where
-    alpha = a/b and T = c/d, each term's numerator is at most
-    H(alpha)^n H(T)^(n+1), with H(p/q) = max(|p|, q).
-    """
-    def log_height(x: Fraction) -> float:
-        return math.log10(max(abs(x.numerator), x.denominator))
-
-    a, t = Fraction(alpha), Fraction(total_time)
-    return 1 + math.floor(math.log10(2) + (degree + 1) * (math.log10(3) + log_height(t)) + degree * log_height(a))
-
-
 def phi_moment_table(grid: IntervalGrid, alpha, degree: int) -> tuple[Fraction, ...]:
     """phi[X(T)^n] for n = 1..degree, exact.
 

@@ -317,7 +317,8 @@ def norm_2n_table(family: IncrementFamilySpec, k: int, n_max: int) -> list[float
 
     Rows are `centered_power_moment`s. An even moment can be negative when
     beta != 1 (beta = -1, say), where no Fock model makes phi a positive
-    state; such a row has no real root and raises ValueError.
+    state; such a row has no real root and raises ValueError. A row past the
+    float range raises OverflowError.
     """
     _check_centered_power(k, 2 * n_max)  # the last row is the largest: fail before the first
     out = []
@@ -325,5 +326,8 @@ def norm_2n_table(family: IncrementFamilySpec, k: int, n_max: int) -> list[float
         power = centered_power_moment(family, k, 2 * n)
         if power < 0:
             raise ValueError(f"phi[(...)^{2 * n}] = {power} is negative at n={n}: no {2 * n}-norm")
-        out.append(float(power) ** (1 / (2 * n)))
+        try:
+            out.append(float(power) ** (1 / (2 * n)))
+        except OverflowError:
+            raise OverflowError(f"phi[(...)^{2 * n}] is past the float range at n={n}: no {2 * n}-norm") from None
     return out

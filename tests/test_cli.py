@@ -215,6 +215,28 @@ class TestChecks:
         assert code == 0
         assert out.strip().splitlines()[-1] == "passed 12/12"
 
+    def test_selfcheck_at_the_transform_order_cap(self, capsys):
+        # selfcheck --order is bounded only by the transform order cap
+        code, out = run(capsys, "selfcheck", "--alpha", "1/2", "--T", "1", "--N", "8", "--order", str(TRANSFORM_ORDER_CAP))
+        assert code == 0
+        assert out.splitlines()[-1] == "passed 12/12"
+
+    def test_selfcheck_catches_a_wrong_inverse(self, capsys, monkeypatch):
+        # one corrupted entry of the two-state inverse must read FAIL
+        # transform-roundtrips, with every other item still ok
+        real = cli.two_state_cumulants_from_moments
+
+        def corrupted(m_phi, r_psi):
+            out = list(real(m_phi, r_psi))
+            out[-1] += 1
+            return tuple(out)
+
+        monkeypatch.setattr(cli, "two_state_cumulants_from_moments", corrupted)
+        code, out = run(capsys, "selfcheck", "--alpha", "1/2", "--T", "1", "--order", "40")
+        assert code == 1
+        assert [row for row in out.splitlines() if not row.startswith("ok ")] == ["FAIL transform-roundtrips",
+                                                                               "passed 11/12"]
+
     def test_selfcheck_quadrature_overflow_exits_2(self):
         # the quadrature item overflows a float at this alpha: one error line
         # naming the item, alpha and t, and no numpy warning before it; the
@@ -390,7 +412,7 @@ class TestPlumbing:
             ["variation-table", "--alpha", "1", "--T", "1", "--k", "5", "--n", "2", "--N-list", "2"],
             ["selfcheck", "--alpha", "1", "--T", "1", "--order", "3"],
             ["selfcheck", "--alpha", "1", "--T", "1", "--order", "1"],
-            ["selfcheck", "--alpha", "1", "--T", "1", "--order", "13"],
+            ["selfcheck", "--alpha", "1", "--T", "1", "--order", str(TRANSFORM_ORDER_CAP + 1)],
             ["moments", "--alpha", "1", "--T", "1", "--order", str(TRANSFORM_ORDER_CAP + 1)],
             ["jacobi", "--alpha", "1", "--t", "1", "--order", str(TRANSFORM_ORDER_CAP + 1)],
             ["norm-table", "--alpha", "1", "--beta", "1", "--T", "1", "--k", "2", "--n-max", "9", "--N", "2"],
@@ -449,7 +471,7 @@ class TestPlumbing:
             (["density", "--measure", "nu", "--alpha", "1", "--t", "1", "--samples", "10001"], "error: samples must be at most 10000, got 10001"),
             (["fock-moments", "--alpha", "12345678901234567890/98765432109876543211",
               "--T", "12345678901234567890/98765432109876543211", "--N", "1", "--degree", "200"],
-             "error: --degree 200 at this --alpha and --T can print 8115-digit numbers, past the 4300-digit limit of integer output"),
+             "error: --degree 200 at this --alpha and --T can print 8094-digit numbers, past the 4300-digit limit of integer output"),
             # --k 33 needs 66-letter words: the family's order passes the transform order cap
             (["variation-table", "--alpha", "1/2", "--T", "1", "--k", "33", "--N-list", "1,4,8"],
              f"error: order 66 exceeds the transform order cap {TRANSFORM_ORDER_CAP}"),
@@ -458,6 +480,16 @@ class TestPlumbing:
              f"error: order 10000 exceeds the transform order cap {TRANSFORM_ORDER_CAP}"),
             (["variation-table", "--alpha", "1/2", "--T", "1", "--n", "5000", "--N-list", "2"],
              "error: lemma_sum supports n <= 16"),
+            # selfcheck --order is bounded by the transform order cap alone
+            (["selfcheck", "--alpha", "1/2", "--T", "1", "--order", str(TRANSFORM_ORDER_CAP + 1)],
+             f"error: order {TRANSFORM_ORDER_CAP + 1} exceeds the transform order cap {TRANSFORM_ORDER_CAP}"),
+            # the exact rows pass the digit bound, but their float column has no value
+            (["variation-table", "--alpha", "1000000", "--T", "100000000", "--k", "16", "--N-list", "1"],
+             "error: --k 16 at N = 1 of --N-list and this --alpha, --T and --beta: "
+             "the value is past the float range of value_f64"),
+            (["norm-table", "--alpha", "1000000", "--T", "100000000", "--k", "2", "--n-max", "8", "--N", "1"],
+             "error: --k 2 at N = 1, --n-max 8 and this --alpha, --T and --beta: "
+             "phi[(...)^12] is past the float range at n=6: no 12-norm"),
         ],
     )
     def test_count_caps_name_the_flag(self, capsys, argv, message):

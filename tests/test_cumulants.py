@@ -1,5 +1,6 @@
 import functools
 import itertools
+import math
 import random
 import time
 import tracemalloc
@@ -32,12 +33,14 @@ def rand_rationals(rng, length):
     return tuple(F(rng.randint(-4, 4), rng.randint(1, 5)) for _ in range(length))
 
 
-# sequences of up to 24 rationals with unrelated denominators, so the common
-# denominator the series transforms grade by grows large
+# sequences of up to 40 rationals with unrelated denominators; their moments'
+# denominators are products of powers of these, which the graded scale covers
+# with about the lcm of the cumulants' denominators
 dense = st.fractions(-9, 9, max_denominator=999)
-dense_sequences = st.lists(dense, max_size=24).map(tuple)
-# the inverse direction first: order 16 keeps the inverse well under a second,
-# where near TRANSFORM_ORDER_CAP it takes tens of seconds
+dense_sequences = st.lists(dense, max_size=40).map(tuple)
+# the inverse direction first: random moments share no prime powers, so their
+# graded scale is about the lcm of all their denominators and the graded ints
+# grow with the order; order 16 keeps the inverse well under a second
 dense_moments = st.lists(dense, max_size=16).map(tuple)
 
 
@@ -131,6 +134,49 @@ class TestTwoStateTransform:
         inner = rand_rationals(rng, 6)
         m = moments_from_free_cumulants(inner, 6)
         assert two_state_cumulants_from_moments(m, inner) == inner
+
+
+@st.composite
+def graded_inputs(draw):
+    # one or two sequences of one length, as the engines pass them: drawn
+    # terms (cumulant-like, zeros included), the two-state moments of drawn
+    # cumulants, or Brownian moments (moment-like), at small or 20-digit heights
+    n = draw(st.integers(0, 24))
+    height = draw(st.sampled_from([9, 999, 10**20]))
+    term = st.one_of(st.just(F(0)), st.builds(F, st.integers(-height, height), st.integers(1, height)))
+    seqs = [tuple(draw(st.lists(term, min_size=n, max_size=n))) for _ in range(draw(st.integers(1, 2)))]
+    kind = draw(st.sampled_from(["cumulants", "moments", "brownian"]))
+    if kind == "moments":
+        seqs[0] = moments_from_two_state_cumulants(seqs[0], seqs[-1], n)
+    if kind == "brownian":
+        alpha, t = draw(term), abs(draw(term)) or F(1)
+        seqs[0] = moments_from_two_state_cumulants(*brownian_cumulants(alpha, t, n), n)
+    return n, seqs
+
+
+class TestGradedScale:
+    @settings(max_examples=80, deadline=None)
+    @given(graded_inputs())
+    def test_scale_divides_the_lcm_and_lifts_every_term(self, case):
+        n, seqs = case
+        scale, graded = cumulants._graded(n, seqs)
+        assert math.lcm(*(c.denominator for seq in seqs for c in seq)) % scale == 0
+        for seq, ints in zip(seqs, graded):
+            # each int equals scale^k x_k, so that is an integer: the lift truncates nothing
+            assert ints == [0] + [c * scale**k for k, c in enumerate(seq, start=1)]
+
+    def test_twenty_digit_brownian_moments_grade_by_a_short_scale(self):
+        # with alpha = a/b and T = c/d, each term of moment n is
+        # alpha^s T^(s+p) with s + 2p = n, so (b d)^n clears it: b d has 131
+        # bits, where the lcm of all the denominators has 5,042 (5,240 for psi)
+        alpha = F(12345678901234567891, 98765432109876543217)
+        t = F(31415926535897932384, 27182818284590452353)
+        outer, inner = brownian_cumulants(alpha, t, 40)
+        phi, psi = moments_from_two_state_cumulants(outer, inner, 40), moments_from_free_cumulants(inner, 40)
+        assert cumulants._graded(40, [phi, inner])[0].bit_length() <= 131
+        assert cumulants._graded(40, [psi])[0].bit_length() <= 131
+        assert two_state_cumulants_from_moments(phi, inner) == outer
+        assert free_cumulants_from_moments(psi) == inner
 
 
 class TestDilateAndAdd:

@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from twostate import fock
-from twostate.cumulants import brownian_family, mixed_moment
+from twostate.cumulants import brownian_family, mixed_moment, table_digits
 from twostate.fock import (
     FockVector,
     IntervalGrid,
@@ -29,7 +29,6 @@ from twostate.fock import (
     psi_moment_table,
     state_phi,
     state_psi_t,
-    table_digits,
 )
 from twostate.spectral import JacobiParams, jacobi_to_moments
 
@@ -705,6 +704,8 @@ class TestProperties:
     @settings(max_examples=40, deadline=None)
     @given(alpha=alphas, t=times, degree=st.integers(1, 40))
     def test_table_digits_bounds_every_printed_number(self, alpha, t, degree):
+        # fock-moments prints the tables `moments` prints at beta = 1, so the
+        # cumulant tables' digit bound guards both commands
         grid = IntervalGrid(t, 1)
         table = phi_moment_table(grid, alpha, degree) + psi_moment_table(grid, alpha, degree)
         digits = max(len(str(abs(x.numerator))) for x in table), max(len(str(x.denominator)) for x in table)
