@@ -21,6 +21,7 @@ from .cumulants import (
     mixed_moment,
     moments_from_free_cumulants,
     moments_from_two_state_cumulants,
+    suffix_moments,
     table_digits,
     two_state_cumulants_from_moments,
 )
@@ -238,7 +239,7 @@ def cmd_norm_table(args) -> int:
 
 def cmd_generator_check(args) -> int:
     _check_count("n-max", args.n_max, 0, maximum=generator.POLY_DEGREE_CAP)
-    zeros = [not residual for residual, _ in generator._ladder(args.n_max, args.alpha)[-1]]
+    zeros = [generator.time_derivative_residual(n, args.alpha).is_zero() for n in range(args.n_max + 1)]
     _emit([json.dumps({"n": n, "residual_is_zero": ok}, sort_keys=True) for n, ok in enumerate(zeros)], args.output)
     return 0 if all(zeros) else 1
 
@@ -277,8 +278,8 @@ def _selfcheck_items(alpha: Fraction, t: Fraction, big_n: int, order: int):
         # the series against the first-block recursion on one increment that
         # carries the whole-interval cumulants, then back by the inverses
         family = brownian_family(alpha, t, 1, order=order)
-        _expect(phi_m == tuple(mixed_moment(family, (1,) * j, "phi") for j in range(1, order + 1)))
-        _expect(psi_m == tuple(mixed_moment(family, (1,) * j, "psi") for j in range(1, order + 1)))
+        _expect(phi_m == suffix_moments(family, (1,) * order, "phi")[::-1])
+        _expect(psi_m == suffix_moments(family, (1,) * order, "psi")[::-1])
         _expect(free_cumulants_from_moments(psi_m) == inner)
         _expect(two_state_cumulants_from_moments(phi_m, inner) == outer)
 
@@ -335,7 +336,8 @@ def _selfcheck_items(alpha: Fraction, t: Fraction, big_n: int, order: int):
         _expect(lhs == rhs)
 
     def generator_residuals():
-        _expect(not any(residual for residual, _ in generator._ladder(min(order, 8), alpha)[-1]))
+        degrees = range(min(order, generator.POLY_DEGREE_CAP) + 1)
+        _expect(all(generator.time_derivative_residual(n, alpha).is_zero() for n in degrees))
 
     def product_lemma_sample():
         grid = fock.IntervalGrid(t, max(big_n, 2))

@@ -10,9 +10,9 @@ The module holds two engines for these sums, and neither lists a partition.
 The transforms solve their generating-series form order by order,
 M_psi = 1 + sum_k r_k z^k M_psi^k and
 M_phi = 1 + sum_k R_k z^k M_psi^(k-1) M_phi, split by the block that holds 1.
-mixed_moment splits the sum over a word's non-crossing partitions by the
-block that holds the first position. Both enter through one prologue,
-`_graded`: length and order-cap checks, then the integer lift.
+mixed_moment and suffix_moments split the sum over a word's non-crossing
+partitions by the block that holds the first position. Both enter through
+one prologue, `_graded`: length and order-cap checks, then the integer lift.
 """
 
 from __future__ import annotations
@@ -252,7 +252,7 @@ def brownian_family(alpha, total_time, count: int, order: int = 8, beta=1) -> In
     return IncrementFamilySpec.from_whole_interval(whole, count, total_time)
 
 
-def _word_sum(word, outer: list[int], inner: list[int]) -> int:
+def _word_sum(word, outer: list[int], inner: list[int]) -> list[int]:
     # The block V that holds the first position takes only positions with
     # its letter; the positions in V's gaps form inner blocks, those after its
     # last element stay at its level. nested[a][b] sums positions a..b-1 as
@@ -274,7 +274,20 @@ def _word_sum(word, outer: list[int], inner: list[int]) -> int:
         for j in range(i + 1, n + 1):
             nested[i][j] = sum(as_inner * nested[v + 1][j] for v, as_inner, _ in closed if v < j)
         top[i] = sum(as_outer * top[v + 1] for v, _, as_outer in closed)
-    return top[0]
+    return top
+
+
+def _word_top(family: IncrementFamilySpec, word, state: str) -> tuple[int, list[int]]:
+    # both word entries: state and index checks, the graded lift, then _word_sum's top row and its scale
+    if state not in ("phi", "psi"):
+        raise ValueError("state must be 'phi' or 'psi'")
+    w = tuple(word)
+    for idx in w:
+        if not 1 <= idx <= family.count:
+            raise ValueError(f"increment index {idx} out of range 1..{family.count}")
+    spec = family.per_increment
+    scale, graded = _graded(len(w), (spec.r_phi_psi if state == "phi" else spec.r_psi, spec.r_psi))
+    return scale, _word_sum(w, *graded)
 
 
 def mixed_moment(family: IncrementFamilySpec, word, state: str) -> Fraction:
@@ -286,12 +299,11 @@ def mixed_moment(family: IncrementFamilySpec, word, state: str) -> Fraction:
     increments vanish by two-state free independence. A word longer than the
     family's order or TRANSFORM_ORDER_CAP is refused before any work.
     """
-    if state not in ("phi", "psi"):
-        raise ValueError("state must be 'phi' or 'psi'")
-    w = tuple(word)
-    for idx in w:
-        if not 1 <= idx <= family.count:
-            raise ValueError(f"increment index {idx} out of range 1..{family.count}")
-    spec = family.per_increment
-    scale, graded = _graded(len(w), (spec.r_phi_psi if state == "phi" else spec.r_psi, spec.r_psi))
-    return Fraction(_word_sum(w, *graded), scale ** len(w))
+    scale, top = _word_top(family, word, state)
+    return Fraction(top[0], scale ** (len(top) - 1))
+
+
+def suffix_moments(family: IncrementFamilySpec, word, state: str) -> Rationals:
+    """mixed_moment of each nonempty suffix word[i:], i = 0, 1, ..., from one run of its recursion."""
+    scale, top = _word_top(family, word, state)
+    return tuple(Fraction(x, scale**k) for k, x in zip(range(len(top) - 1, 0, -1), top))

@@ -16,8 +16,8 @@ of nu and mu once to one common power of b. Each L image, each A_t f and each
 residual d/dt q + A_t q is then one integer pass over (ints, den) pairs, the
 H-series is expanded on numerators, and every equality is a cross-multiplied
 comparison. A `BivariatePolynomial`, reduced by one gcd, is built only where a
-public function returns one, so `generating_function_check` builds none. One
-ladder builds q, nu, mu and each L image once for every degree it checks.
+public function returns one, so `generating_function_check` builds none; it
+builds q, nu, mu and each L image once for every degree it checks.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ from functools import lru_cache
 from .poly import BivariatePolynomial
 
 POLY_DEGREE_CAP = 16
-SERIES_ORDER_CAP = 12
 
 
 def _recursion_table(first: dict) -> list[dict]:
@@ -105,37 +104,37 @@ def _specialized_ints(table, a: Fraction) -> list[tuple[dict, int]]:
     return out
 
 
-def _specialized(table, alpha) -> list[BivariatePolynomial]:
-    return [BivariatePolynomial._from_ints(ints, den) for ints, den in _specialized_ints(table, Fraction(alpha))]
-
-
 def _check_degree(n_max: int) -> None:
     if not 0 <= n_max <= POLY_DEGREE_CAP:
         raise ValueError(f"n_max must be in 0..{POLY_DEGREE_CAP}, got {n_max}")
 
 
+def _family(index: int, n_max: int, alpha) -> list[BivariatePolynomial]:
+    # q_0..q_n or p_0..p_n (index 0, 1), or moments 1..n of nu or mu (2, 3),
+    # checked, specialized and reduced
+    _check_degree(n_max)
+    table = _tables()[index][: n_max + (index < 2)]
+    return [BivariatePolynomial._from_ints(ints, den) for ints, den in _specialized_ints(table, Fraction(alpha))]
+
+
 def q_polynomials(n_max: int, alpha) -> list[BivariatePolynomial]:
     """Martingale polynomials q_0..q_n: monic, q_1 = x (no drift at level zero)."""
-    _check_degree(n_max)
-    return _specialized(_tables()[0][: n_max + 1], alpha)
+    return _family(0, n_max, alpha)
 
 
 def p_polynomials(n_max: int, alpha) -> list[BivariatePolynomial]:
     """Centered family p_0..p_n: monic, p_1 = x - alpha t."""
-    _check_degree(n_max)
-    return _specialized(_tables()[1][: n_max + 1], alpha)
+    return _family(1, n_max, alpha)
 
 
 def nu_moment_polys(n_max: int, alpha) -> list[BivariatePolynomial]:
     """Moments 1..n of the secondary-state law at time t, as polynomials in t."""
-    _check_degree(n_max)
-    return _specialized(_tables()[2][:n_max], alpha)
+    return _family(2, n_max, alpha)
 
 
 def mu_moment_polys(n_max: int, alpha) -> list[BivariatePolynomial]:
     """Moments 1..n of the primary-state law at time t, as polynomials in t."""
-    _check_degree(n_max)
-    return _specialized(_tables()[3][:n_max], alpha)
+    return _family(3, n_max, alpha)
 
 
 def _over(den: int, moments) -> list[list]:
@@ -225,17 +224,6 @@ def time_derivative_residual(n: int, alpha) -> BivariatePolynomial:
     return BivariatePolynomial._from_ints(*_image(q, den, a, _measures(a, max(n, 1)), True)[2])
 
 
-def _ladder(n_max: int, alpha):
-    # q_0..q_n, their images L_nu q_k and L_mu q_k, and the residuals
-    # d/dt q_k + A_t q_k, as (ints, den) pairs from one build of q, nu and mu
-    _check_degree(n_max)
-    a = Fraction(alpha)
-    q = _specialized_ints(_tables()[0][: n_max + 1], a)
-    measures = _measures(a, max(n_max, 1))
-    l_nu, l_mu, residuals = map(list, zip(*(_image(ints, den, a, measures, True) for ints, den in q)))
-    return q, l_nu, l_mu, residuals
-
-
 @dataclass(frozen=True)
 class GeneratingFunctionReport:
     """Coefficient-wise checks of the two generating-function identities."""
@@ -265,11 +253,12 @@ def generating_function_check(order: int, alpha) -> GeneratingFunctionReport:
     inverse are the centered family, L_nu lowers q by one, L_mu sends q to the
     centered family, and the alpha-weighted combination reproduces -dH/dt.
     """
-    if not 0 <= order <= SERIES_ORDER_CAP:
-        raise ValueError(f"order must be in 0..{SERIES_ORDER_CAP}, got {order}")
-    q, l_nu, l_mu, residuals = _ladder(order, alpha)
+    if not 0 <= order <= POLY_DEGREE_CAP:
+        raise ValueError(f"order must be in 0..{POLY_DEGREE_CAP}, got {order}")
     a = Fraction(alpha)
-    p = _specialized_ints(_tables()[1][: order + 1], a)
+    q, p = (_specialized_ints(table[: order + 1], a) for table in _tables()[:2])
+    measures = _measures(a, max(order, 1))
+    l_nu, l_mu, residuals = zip(*(_image(ints, den, a, measures, True) for ints, den in q))
     num, b = a.numerator, a.denominator
     # denominator 1 + (t alpha - x) z + t z^2, inverted as a z-series on the
     # numerators I_k = b^k inverse_k = -((a t - b x) I_(k-1) + b^2 t I_(k-2)).

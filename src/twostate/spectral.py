@@ -332,17 +332,12 @@ def quadrature_moment(measure: Measure, n: int) -> float:
         with np.errstate(over="raise", invalid="raise", divide="raise", under="ignore"):
             theta = (np.arange(nodes) + 0.5) * (math.pi / nodes)
             sin2 = np.sin(theta) ** 2
-            if measure.kind == CT_LAW:
-                a = alpha * math.sqrt(t)
-                y = 1 + a * a + 2 * a * np.cos(theta)
-                values = y ** (n - 1) if n >= 1 else 1.0 / y
-                acc = 2.0 / nodes * float(np.dot(values, sin2))
-            else:
-                x = alpha * t + 2 * math.sqrt(t) * np.cos(theta)
-                values = x**n if n >= 1 else np.ones_like(x)
-                if measure.kind == FREE_POISSON:
-                    values = values / (1 + alpha * x)
-                acc = 2.0 / nodes * float(np.dot(values, sin2))
+            x = alpha * t + 2 * math.sqrt(t) * np.cos(theta)
+            # the C law is the free Poisson law pushed forward by x -> 1 + alpha x
+            values = (1 + alpha * x if measure.kind == CT_LAW else x) ** n
+            if measure.kind != SEMICIRCLE:
+                values = values / (1 + alpha * x)
+            acc = 2.0 / nodes * float(np.dot(values, sin2))
     except FloatingPointError as exc:
         raise ValueError(f"the quadrature leaves float range at alpha={alpha:g}, t={t:g}: {exc}") from None
     mass = atom_mass(measure)

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import twostate
-from twostate import cli, fock, partitions
+from twostate import cli, fock, generator, partitions
 from twostate.cli import DENSITY_SAMPLE_CAP, main
 from twostate.cumulants import TRANSFORM_ORDER_CAP
 
@@ -235,6 +235,18 @@ class TestChecks:
         code, out = run(capsys, "selfcheck", "--alpha", "1/2", "--T", "1", "--order", "40")
         assert code == 1
         assert [row for row in out.splitlines() if not row.startswith("ok ")] == ["FAIL transform-roundtrips",
+                                                                               "passed 11/12"]
+
+    def test_selfcheck_reads_every_residual_to_the_order(self, capsys, monkeypatch):
+        # a wrong q_12 in the generator tables must read FAIL
+        # generator-residuals at --order 12, with every other item still ok
+        q, *rest = generator._tables()
+        top, ((key, k, c), *terms) = q[12]
+        corrupted = (q[:12] + ((top, ((key, k, c + 1), *terms)),) + q[13:], *rest)
+        monkeypatch.setattr(generator, "_tables", lambda: corrupted)
+        code, out = run(capsys, "selfcheck", "--alpha", "1/2", "--T", "1", "--order", "12")
+        assert code == 1
+        assert [row for row in out.splitlines() if not row.startswith("ok ")] == ["FAIL generator-residuals",
                                                                                "passed 11/12"]
 
     def test_selfcheck_quadrature_overflow_exits_2(self):

@@ -22,6 +22,7 @@ from twostate.cumulants import (
     mixed_moment,
     moments_from_free_cumulants,
     moments_from_two_state_cumulants,
+    suffix_moments,
     table_digits,
     two_state_cumulants_from_moments,
 )
@@ -490,7 +491,7 @@ class TestEnumerationCap:
     @pytest.mark.parametrize("name", sorted(CALLS))
     def test_checked_before_any_table_is_built(self, name, monkeypatch):
         built = []
-        monkeypatch.setattr(cumulants, "_word_sum", lambda word, outer, inner: built.append(len(word)) or 0)
+        monkeypatch.setattr(cumulants, "_word_sum", lambda word, outer, inner: built.append(len(word)) or [0] * (len(word) + 1))
         monkeypatch.setattr(partitions, "ENUMERATION_CAP", 3)
         for call, message in self.CALLS[name]:
             with pytest.raises(ValueError, match=message):
@@ -610,6 +611,32 @@ HEIGHTS = st.sampled_from([9, 9999, 10**20])
 def signed_rationals(draw, positive=False):
     height = draw(HEIGHTS)
     return F(draw(st.integers(1 if positive else -height, height)), draw(st.integers(1, height)))
+
+
+@st.composite
+def families_and_words(draw):
+    # a word of at most 10 letters over N <= 3 increments, on a Brownian
+    # family or on random rational cumulants with zeros
+    count = draw(st.integers(1, 3))
+    word = tuple(draw(st.lists(st.integers(1, count), max_size=10)))
+    order = max(len(word), 2)
+    if draw(st.booleans()):
+        family = brownian_family(draw(signed_rationals()), draw(signed_rationals(positive=True)), count, order,
+                                 draw(signed_rationals()))
+    else:
+        cumulant = st.one_of(st.just(F(0)), st.fractions(-9, 9, max_denominator=99))
+        sequences = (tuple(draw(cumulant) for _ in range(order)) for _ in range(2))
+        family = IncrementFamilySpec(count, TwoStateElementSpec(*sequences), F(1))
+    return family, word
+
+
+class TestSuffixMoments:
+    @settings(max_examples=60, deadline=None)
+    @given(case=families_and_words(), state=st.sampled_from(["phi", "psi"]))
+    def test_each_suffix_is_its_mixed_moment(self, case, state):
+        family, word = case
+        got = suffix_moments(family, word, state)
+        assert got == tuple(mixed_moment(family, word[i:], state) for i in range(len(word)))
 
 
 class TestTableDigits:

@@ -362,21 +362,16 @@ class TestGenerator:
 
     @pytest.mark.parametrize("alpha", [F(0), F(1), F(-3, 2), F(9973, 9998)])
     def test_ladder_matches_single_degree_route(self, alpha):
-        # the ladder's (ints, den) pairs, read as polynomials, are the public routes' results
-        ladder = generator._ladder(16, alpha)
-        assert [len(column) for column in ladder] == [17] * 4
-        q = q_polynomials(16, alpha)
-        nu, mu = nu_moment_polys(16, alpha), mu_moment_polys(16, alpha)
+        # the generating-function check at the degree cap and the one-degree
+        # residuals both hold at every degree
+        assert generating_function_check(16, alpha).ok
         for k in range(17):
-            wanted = [q[k], l_apply(q[k], nu), l_apply(q[k], mu), time_derivative_residual(k, alpha)]
-            for (ints, den), want in zip((column[k] for column in ladder), wanted):
-                assert all(ints.values()), (alpha, k)
-                assert BivariatePolynomial._from_ints(ints, den) == want, (alpha, k)
+            assert time_derivative_residual(k, alpha).is_zero(), (alpha, k)
 
     @pytest.mark.parametrize("n_max", [-1, 17])
     def test_ladder_degree_cap(self, n_max):
-        with pytest.raises(ValueError):
-            generator._ladder(n_max, F(1))
+        with pytest.raises(ValueError, match=f"^order must be in 0..16, got {n_max}$"):
+            generating_function_check(n_max, F(1))
 
     def test_alpha_zero_degeneration(self):
         # drift-free case: q = p and the generator is d/dx L_nu
@@ -406,8 +401,8 @@ class TestGeneratingFunction:
             assert -1 * q2.d_dt() == BivariatePolynomial({(1, 0): alpha, (0, 0): 1})
 
     def test_order_cap(self):
-        # orders are 0..12; a negative one must not report ok
-        for order in (13, -1):
+        # orders are 0..16; a negative one must not report ok
+        for order in (17, -1):
             with pytest.raises(ValueError):
                 generating_function_check(order, F(1))
 
@@ -616,12 +611,13 @@ def _corrupted(family: int, degree: int) -> tuple:
 
 
 # (family, degree index, report fields that compare against the family, feeds the residual):
-# q_12, p_11, and the second moments of nu and mu
+# q_12, p_11, the second moments of nu and mu, and q_14, which only orders past 12 read
 CORRUPTIONS = [
     (0, 12, {"h_coefficients_are_q", "nu_ladder", "mu_ladder", "time_derivative_identity"}, True),
     (1, 11, {"inverse_coefficients_are_p", "mu_ladder"}, False),
     (2, 1, {"nu_ladder", "time_derivative_identity"}, True),
     (3, 1, {"mu_ladder", "time_derivative_identity"}, True),
+    (0, 14, {"h_coefficients_are_q", "nu_ladder", "mu_ladder", "time_derivative_identity"}, True),
 ]
 REPORT_FIELDS = {"h_coefficients_are_q", "inverse_coefficients_are_p", "nu_ladder", "mu_ladder", "time_derivative_identity"}
 
@@ -634,11 +630,12 @@ class TestCorruptedTables:
     def test_report_residual_and_cli_fail(self, monkeypatch, capsys, alpha, family, degree, fields, feeds_residual):
         corrupted = _corrupted(family, degree)
         monkeypatch.setattr(generator, "_tables", lambda: corrupted)
-        report = generating_function_check(12, alpha)
+        report = generating_function_check(16, alpha)
         assert not report.ok
         assert {name for name in REPORT_FIELDS if not getattr(report, name)} == fields
-        assert time_derivative_residual(12, alpha).is_zero() is not feeds_residual
-        code = cli.main(["generator-check", f"--alpha={alpha}", "--n-max", "12"])
+        # the corrupted q's own degree; every residual from degree 2 on reads the second moments
+        assert time_derivative_residual(max(degree, 12), alpha).is_zero() is not feeds_residual
+        code = cli.main(["generator-check", f"--alpha={alpha}", "--n-max", "16"])
         capsys.readouterr()
         assert code == (1 if feeds_residual else 0)
 

@@ -352,7 +352,8 @@ class TestMeasures:
         assert exact_moment(law, 2) == 1 + 2 * alpha * mu[0] + alpha**2 * mu[1]
 
 
-GRID = [(F(1), F(1)), (F(1), F(4)), (F(1), F(1, 2)), (F(2), F(1, 4)), (F(0), F(1)), (F(1), F(2))]
+GRID = [(F(1), F(1)), (F(1), F(4)), (F(1), F(1, 2)), (F(2), F(1, 4)), (F(0), F(1)), (F(1), F(2)),
+        (F(-3, 2), F(5, 7)), (F(-1), F(4))]
 
 
 class TestQuadrature:
