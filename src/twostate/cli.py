@@ -199,6 +199,8 @@ def cmd_martingale_check(args) -> int:
 
 
 def cmd_variation_table(args) -> int:
+    for big_n in args.N_list:
+        _check_count("N-list", big_n)
     k = 2 if args.k is None else args.k
     centered = args.centered_power is not None
     power, flag = (args.centered_power, "--n") if centered else (k, "--k")
@@ -225,6 +227,7 @@ def cmd_variation_table(args) -> int:
 
 def cmd_norm_table(args) -> int:
     _check_count("n-max", args.n_max)
+    _check_count("N", args.N)
     family = brownian_family(args.alpha, args.T, args.N, order=max(8, 2 * args.n_max * args.k), beta=args.beta)
     try:
         table = variations.norm_2n_table(family, args.k, args.n_max)

@@ -14,10 +14,10 @@ Fractions appear only at the edges: the public constructors and the read-outs
 also refuse a letter that is not a cell, so words are checked once, at entry.
 alpha and the cell length enter the action as numerator/denominator pairs,
 and nothing is kept between passes. The product checks never expand an
-operator product: they apply its factors right to left, and the freeness
-check reads every psi value off one seeded vector, (1 + alpha X(T)) Omega.
-The martingale and conditional-expectation checks read phi[B* Y] as
-<B Omega, Y Omega>, so no adjoint of the past B is applied. An expression is
+operator product. The martingale and conditional-expectation checks read
+phi[B* Y] as <B Omega, Y Omega>, so no adjoint of the past B is applied; the
+freeness check reads phi and psi of a product of self-adjoint factors off
+(f_1 ... f_m)* Omega and the seed (1 + alpha X(T)) Omega. An expression is
 applied factored on the leading letters of its words; letters with equal
 tails share one pass over the tail's image, so X(I)^p costs p passes.
 """
@@ -32,24 +32,24 @@ from fractions import Fraction
 from functools import cached_property
 
 Word = tuple[int, ...]
-KERNEL_DEPTH_CAP = 600  # a kernel-residual table rebuilds eta_d for every d, so it is cubic in depth
+KERNEL_DEPTH_CAP = 600  # a kernel-residual table rebuilds eta_d for every d: cubic in depth, 4.4-4.6 s at 600
 # Most grid cells the Fock commands accept, checked before any work. Whole
-# processes at default flags, alpha = 1/2 and T = 1, on a 2-CPU VM:
-# martingale-check takes 0.5-0.7 s (18 MB) at N = 8, and freeness-check
-# 1.5-2.7 s (17 MB). The moment tables run on one cell whatever N is.
+# processes at default flags, alpha = 1/2 and T = 1, on a 2-CPU VM with
+# Python 3.11: martingale-check takes 0.28-0.29 s (18 MB) at N = 8, and
+# freeness-check 0.47-0.48 s (17 MB). The moment tables use one cell at any N.
 CELL_CAP = 8
 # Highest fock-moments --degree. The one-cell table gains a word per step and
 # its numerators grow with every step: whole processes with 4-digit rationals
-# took 0.44 / 1.0 / 2.2 s at degree 200 / 300 / 400, and at 600 the output
+# took 0.26 / 0.66 / 1.4 s at degree 200 / 300 / 400, and at 600 the output
 # passes Python's 4,300-digit int-to-str limit.
 TABLE_DEGREE_CAP = 200
 # Highest martingale-check --n-max, for every N: at N = 8, --n-max 4 takes
-# 0.8 s and 5 takes 3.4-3.7 s (28 MB); at N = 3, 8 takes 0.5-0.6 s and 10
-# takes 3.5 s (45 MB).
+# 0.28 s and 5 takes 1.4 s (28 MB); at N = 3, 8 takes 0.20 s and 10 takes
+# 1.2 s (45 MB).
 MARTINGALE_DEGREE_CAP = 4
-# Most products freeness-check walks: 3,376 at N = 8, --max-len 3 (1.5-2.7 s
-# whole process; the 47,280 of --max-len 4 took 38 s in one process with the
-# cap lifted); at N = 2, 2,044 at --max-len 9 (2.8-4.4 s).
+# Most products freeness-check walks: 3,376 at N = 8, --max-len 3 (0.47-0.48 s
+# whole process; the 47,280 of --max-len 4 took 7.5 s in one process with the
+# cap lifted); at N = 2, 2,044 at --max-len 9 (1.1-1.4 s).
 FREENESS_PRODUCT_CAP = 3376
 
 
@@ -379,14 +379,6 @@ def centered_expr(grid: IntervalGrid, first_cell: int, last_cell: int, degree: i
     return _orthogonal(grid, first_cell, last_cell, degree, alpha, "p", OperatorExpr.identity(grid), operator.mul)
 
 
-def _vacuum_state(factors, alpha, v: FockVector) -> Fraction:
-    # vacuum coefficient of f_1 ... f_m v, the factors applied right to left
-    # so that their product is never expanded
-    for f in reversed(factors):
-        v = f.apply(v, alpha)
-    return v.vacuum_coefficient()
-
-
 def product_lemma_vector(grid: IntervalGrid, alpha, groups) -> FockVector:
     """Apply P_{k1}(X(I1),|I1|) ... Q_{kn}(X(In),|In|) to the vacuum.
 
@@ -446,26 +438,33 @@ def freeness_check(grid: IntervalGrid, alpha, factors) -> FreenessReport:
 
     Each factor must be a polynomial in a single increment, consecutive
     factors in different increments, every factor centered for the secondary
-    state. Centering is checked, never applied silently. Every psi value is
-    read off one seeded vector, (1 + alpha X(T)) Omega."""
+    state. Centering is checked, never applied silently. A factor f is read
+    off f Omega and the product off f_m ... f_1 Omega = (f_1 ... f_m)* Omega:
+    phi is its vacuum coefficient, psi its inner product with (1 + alpha X(T)) Omega."""
     factors = list(factors)
-    seed = c_t_expr(grid, alpha).apply(FockVector.vacuum(grid), alpha)
-    supports = []
+    vacuum = FockVector.vacuum(grid)
+    seed = c_t_expr(grid, alpha).apply(vacuum, alpha)
+    supports, phi_factors = [], []
     for k, f in enumerate(factors):
         cells = f.support_cells()
         if len(cells) != 1:
             raise ValueError(f"factor {k} is not a polynomial in a single increment")
         supports.append(next(iter(cells)))
-        centered = f.apply(seed, alpha).vacuum_coefficient()
+        image = f.apply(vacuum, alpha)
+        centered = image.inner(seed)
         if centered != 0:
             raise ValueError(f"factor {k} is not psi-centered (psi value {centered})")
+        phi_factors.append(image.vacuum_coefficient())
     for a, b in zip(supports, supports[1:]):
         if a == b:
             raise ValueError("consecutive factors use the same increment")
+    chain = vacuum
+    for f in factors:
+        chain = f.apply(chain, alpha)
     return FreenessReport(
-        psi_of_product=_vacuum_state(factors, alpha, seed),
-        phi_of_product=_vacuum_state(factors, alpha, FockVector.vacuum(grid)),
-        phi_factors=tuple(state_phi(f, alpha) for f in factors),
+        psi_of_product=chain.inner(seed),
+        phi_of_product=chain.vacuum_coefficient(),
+        phi_factors=tuple(phi_factors),
     )
 
 

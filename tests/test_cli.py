@@ -168,6 +168,15 @@ class TestChecks:
         assert out.splitlines() == ['{"ok": false, "word": [[1, 1]]}', json.dumps({"checked": len(calls), "failures": 1})]
         assert len(calls) == 12
 
+    def test_freeness_fails_on_a_wrong_model(self, capsys, monkeypatch):
+        # the action with the sign of alpha flipped: the centering constants
+        # come from the same wrong model, yet 120 of the 126 products fail
+        act = fock._act
+        monkeypatch.setattr(fock, "_act", lambda ell, alpha, *rest: act(ell, -alpha, *rest))
+        code, out = run(capsys, "freeness-check", "--alpha", "1/2", "--T", "1", "--N", "3", "--max-len", "3")
+        assert code == 1
+        assert json.loads(out.splitlines()[-1]) == {"checked": 126, "failures": 120}
+
     def test_martingale_failure_exits_1(self, capsys, monkeypatch):
         # the first case, n = 0 at t = 1, s = 2 with the identity past, is off by one
         real, calls = fock.martingale_check, []
@@ -502,6 +511,12 @@ class TestPlumbing:
             (["norm-table", "--alpha", "1000000", "--T", "100000000", "--k", "2", "--n-max", "8", "--N", "1"],
              "error: --k 2 at N = 1, --n-max 8 and this --alpha, --T and --beta: "
              "phi[(...)^12] is past the float range at n=6: no 12-norm"),
+            # every entry of --N-list is checked before any row
+            (["variation-table", "--alpha", "1", "--T", "1", "--N-list", "0"], "error: N-list must be at least 1, got 0"),
+            (["variation-table", "--alpha", "1", "--T", "1", "--N-list", "2,0"], "error: N-list must be at least 1, got 0"),
+            (["variation-table", "--alpha", "1", "--T", "1", "--n", "2", "--N-list", "3,-1"],
+             "error: N-list must be at least 1, got -1"),
+            (["norm-table", "--alpha", "1", "--T", "1", "--N", "0"], "error: N must be at least 1, got 0"),
         ],
     )
     def test_count_caps_name_the_flag(self, capsys, argv, message):

@@ -599,13 +599,15 @@ class TestKernel:
 
 
 class TestRightToLeftMatchesExpandedProduct:
-    """The checks apply their factors to a vector right to left.
+    """The checks apply their factors to a vector, never expanding a product.
 
     Each value must equal the state of the expanded OperatorExpr product built
     by __mul__; the martingale and cond-exp sides pair B Omega with the rest
-    by the inner product, and the expected values build B* by `adjoint`.
-    Both sides are the Fock route, so this pins the evaluation order inside
-    that route; it is not an oracle between routes.
+    by the inner product, and the expected values build B* by `adjoint`. The
+    freeness check applies its factors left to right, to (f_1 ... f_m)* Omega,
+    while `state_phi` and `state_psi_t` apply the expanded product right to
+    left. Both sides are the Fock route, so this pins the evaluation order
+    inside that route; it is not an oracle between routes.
     """
 
     grid = IntervalGrid(F(9967, 9931), 3)
@@ -644,6 +646,7 @@ class TestRightToLeftMatchesExpandedProduct:
         assert report.psi_of_product == state_psi_t(product, self.alpha)
         assert report.phi_of_product == state_phi(product, self.alpha)
         assert report.phi_of_product != 0
+        assert report.phi_factors == tuple(state_phi(f, self.alpha) for f in factors)
 
     @pytest.mark.parametrize(
         "groups",
@@ -884,9 +887,9 @@ class TestPassCount:
     @pytest.mark.parametrize(
         "seq", [((1, 1),), ((1, 1), (2, 2), (1, 1)), ((3, 2), (1, 3)), ((2, 1), (3, 1), (1, 1), (2, 2))]
     )
-    def test_freeness_check_costs_one_seed_pass_and_four_per_degree(self, passes, seq):
+    def test_freeness_check_costs_one_seed_pass_and_two_per_degree(self, passes, seq):
         # one pass seeds (1 + alpha X(T)) Omega; each degree unit costs a pass
-        # in its centering check, in psi and phi of the product and in its phi
+        # in its factor's image f Omega and one in the product's chain
         grid, alpha = IntervalGrid(F(1), 3), F(1, 2)
         factors = []
         for cell, degree in seq:
@@ -894,4 +897,4 @@ class TestPassCount:
             factors.append(raw - state_psi_t(raw, alpha))
         passes[0] = 0
         assert freeness_check(grid, alpha, factors).ok
-        assert passes[0] == 1 + 4 * sum(degree for _, degree in seq)
+        assert passes[0] == 1 + 2 * sum(degree for _, degree in seq)
